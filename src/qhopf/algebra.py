@@ -18,12 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .cyclotomic import Cyclotomic, one as cy_one, zero as cy_zero
-from .linalg import solve_square
 
 __all__ = ["AlgebraDescriptor", "SingularElementError", "Tensor", "apply_on_factor", "invert"]
-
-# dense inversion refuses bases larger than this (the diagonal fast path has no cap)
-DENSE_INVERT_LIMIT = 4096
 
 
 class SingularElementError(ValueError):
@@ -262,56 +258,27 @@ def apply_on_factor(u: Tensor, fmap: Callable[[int], object], position: int, out
 
 
 def invert(u: Tensor) -> Tensor:
-    """Two-sided inverse of a tensor-power element.
+    """Two-sided inverse of an element supported on the declared idempotent
+    sub-basis, by componentwise scalar inversion.
 
-    Elements supported on a declared idempotent sub-basis invert by
-    componentwise scalar inversion; anything else falls back to solving
-    u * v = unit over the full tensor basis (guarded by a size limit).
-    A singular input raises :class:`SingularElementError` with a witness.
+    A missing diagonal entry is a zero eigenvalue and raises
+    :class:`SingularElementError` with the missing key as witness.  Elements
+    off the idempotent sub-basis are not handled: passing one is a
+    programming error and raises a plain :class:`ValueError`.
     """
     d = u.algebra
     diag = d.diag_indices
-    if diag is not None and all(all(i in diag for i in key) for key in u.terms):
-        expected = len(diag) ** u.rank
-        if len(u.terms) != expected:
-            present = set(u.terms)
-            missing = next(
-                key
-                for key in itertools.product(sorted(diag), repeat=u.rank)
-                if key not in present
-            )
-            raise SingularElementError(
-                f"diagonal element has a zero eigenvalue at {missing}", witness=missing
-            )
-        return Tensor(d, u.rank, {k: c.inverse() for k, c in u.terms.items()})
-
-    size = d.dim**u.rank
-    if size > DENSE_INVERT_LIMIT:
-        raise ValueError(
-            f"dense inversion over {size} basis tensors refused; "
-            "supply an idempotent-diagonal representation instead"
+    if diag is None or not all(all(i in diag for i in key) for key in u.terms):
+        raise ValueError(f"invert needs an element of the idempotent sub-basis of {d!r}")
+    expected = len(diag) ** u.rank
+    if len(u.terms) != expected:
+        present = set(u.terms)
+        missing = next(
+            key
+            for key in itertools.product(sorted(diag), repeat=u.rank)
+            if key not in present
         )
-    basis = list(itertools.product(range(d.dim), repeat=u.rank))
-    pos = {key: t for t, key in enumerate(basis)}
-    cols = []
-    for key in basis:
-        col = u * d.basis_tensor(key)
-        vec = [cy_zero()] * size
-        for k2, c in col.terms.items():
-            vec[pos[k2]] = c
-        cols.append(vec)
-    mat = [[cols[j][i] for j in range(size)] for i in range(size)]
-    unit = d.unit_tensor(u.rank)
-    rhs = [cy_zero()] * size
-    for k2, c in unit.terms.items():
-        rhs[pos[k2]] = c
-    sol = solve_square(mat, rhs)
-    if sol is None:
         raise SingularElementError(
-            "element is singular: left-multiplication matrix has no inverse",
-            witness="zero determinant",
+            f"diagonal element has a zero eigenvalue at {missing}", witness=missing
         )
-    v = Tensor(d, u.rank, {basis[t]: sol[t] for t in range(size)})
-    if not (u * v == unit and v * u == unit):
-        raise SingularElementError("one-sided inverse is not two-sided", witness=None)
-    return v
+    return Tensor(d, u.rank, {k: c.inverse() for k, c in u.terms.items()})

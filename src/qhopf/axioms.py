@@ -4,11 +4,11 @@ Every check compares elements of tensor powers literally; a pass means
 coefficientwise equality over the cyclotomic field.  Failures carry a witness
 string naming the first offending basis tensor and both coefficients.
 
-Checks run in the coordinates handed out by ``structure.ops()``: for the
-twisted subalgebra that is the aggregated-idempotent frame (products there
-are single-term and the associator is diagonal), for the ambient Hopf algebra
-the monomial basis itself.  Sampled checks draw from a seeded generator and
-are reproducible run to run.
+Checks run in the coordinates of ``structure.frame``: for the twisted
+subalgebra that is the aggregated-idempotent basis (products there are
+single-term and the associator is diagonal), for the ambient Hopf algebra the
+monomial basis itself.  Sampled checks draw from a seeded generator and are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -45,6 +45,17 @@ class CheckResult:
     def __bool__(self):
         return self.passed
 
+    @classmethod
+    def timed(cls, name: str, started: float, witness: Optional[str]) -> "CheckResult":
+        """The result of a check started at ``perf_counter()`` value ``started``;
+        it passed iff no witness was found."""
+        return cls(
+            name=name,
+            passed=witness is None,
+            witness=witness,
+            elapsed_ms=(time.perf_counter() - started) * 1000.0,
+        )
+
 
 def deterministic_sample(universe: int, count: int, seed: int, always=()) -> list[int]:
     """Seeded, reproducible index sample; ``always`` entries are included."""
@@ -61,19 +72,10 @@ def _witness(ops: Coordinates, tag: str, diff) -> str:
     return f"{tag}: first difference at ({label}): {a.render()} vs {b.render()}"
 
 
-def _timed(name: str, started: float, witness: Optional[str]) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=witness is None,
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
-
-
 def _low_degree_indices(S: QuasiHopf) -> list[int]:
     # basis elements of x-degree <= 1 span the generators in either basis
     m = S.taft.m
-    return [i for i in range(S.ops().descriptor.dim) if i % m <= 1]
+    return [i for i in range(S.frame.descriptor.dim) if i % m <= 1]
 
 
 def check_quasi_coassoc(S: QuasiHopf, sample: int = 20, seed: int = 0) -> CheckResult:
@@ -83,7 +85,7 @@ def check_quasi_coassoc(S: QuasiHopf, sample: int = 20, seed: int = 0) -> CheckR
     generators, which suffices for an algebra map) plus a seeded sample.
     """
     started = time.perf_counter()
-    ops = S.ops()
+    ops = S.frame
     witness = None
     indices = deterministic_sample(
         ops.descriptor.dim, sample, seed, always=_low_degree_indices(S)
@@ -97,13 +99,13 @@ def check_quasi_coassoc(S: QuasiHopf, sample: int = 20, seed: int = 0) -> CheckR
             diff = lhs.first_difference(rhs)
             witness = _witness(ops, f"u={ops.descriptor.label(idx)}", diff)
             break
-    return _timed("quasi_coassociativity", started, witness)
+    return CheckResult.timed("quasi_coassociativity", started, witness)
 
 
 def check_pentagon(S: QuasiHopf) -> CheckResult:
     """Pentagon identity for the associator plus its counit normalization."""
     started = time.perf_counter()
-    ops = S.ops()
+    ops = S.frame
     phi = ops.associator
     one1 = ops.descriptor.unit_tensor(1)
     lhs = one1.tensor(phi) * apply_on_factor(phi, ops.coproduct, 2, 2) * phi.tensor(one1)
@@ -118,14 +120,14 @@ def check_pentagon(S: QuasiHopf) -> CheckResult:
             witness = _witness(
                 ops, "counit normalization of the associator", norm.first_difference(unit2)
             )
-    return _timed("pentagon", started, witness)
+    return CheckResult.timed("pentagon", started, witness)
 
 
 def check_counit(S: QuasiHopf, pair_sample: int = 40, seed: int = 0) -> CheckResult:
     """(eps (x) id) Delta = id = (id (x) eps) Delta on every basis element,
     and multiplicativity of eps on a seeded sample of basis pairs."""
     started = time.perf_counter()
-    ops = S.ops()
+    ops = S.frame
     d = ops.descriptor
     witness = None
     for idx in range(d.dim):
@@ -153,7 +155,7 @@ def check_counit(S: QuasiHopf, pair_sample: int = 40, seed: int = 0) -> CheckRes
                     f"{lhs.render()} vs {rhs.render()}"
                 )
                 break
-    return _timed("counit", started, witness)
+    return CheckResult.timed("counit", started, witness)
 
 
 def check_antipode(S: QuasiHopf, pair_sample: int = 25, seed: int = 0) -> CheckResult:
@@ -167,7 +169,7 @@ def check_antipode(S: QuasiHopf, pair_sample: int = 25, seed: int = 0) -> CheckR
     plus anti-multiplicativity of S on a seeded sample of basis pairs.
     """
     started = time.perf_counter()
-    ops = S.ops()
+    ops = S.frame
     d = ops.descriptor
     alpha, beta = ops.alpha, ops.beta
     s_alpha: dict[int, Tensor] = {}
@@ -230,7 +232,7 @@ def check_antipode(S: QuasiHopf, pair_sample: int = 25, seed: int = 0) -> CheckR
                     lhs.first_difference(rhs),
                 )
                 break
-    return _timed("antipode", started, witness)
+    return CheckResult.timed("antipode", started, witness)
 
 
 def _character_value(S: QuasiHopf, t: int, idx: int) -> Cyclotomic:
@@ -239,8 +241,13 @@ def _character_value(S: QuasiHopf, t: int, idx: int) -> Cyclotomic:
     return S.taft.Q_power(t * i) if j == 0 else cy_zero()
 
 
+def _frame_character(m: int, t: int, idx: int) -> Cyclotomic:
+    # chi_t on the aggregated-idempotent basis: 1_s x^j -> delta_{j,0} delta_{s,t}
+    return cy_one() if idx == t * m else cy_zero()
+
+
 def check_basic(S: QuasiHopf) -> CheckResult:
-    """The carrier is basic with exactly n one-dimensional characters that
+    """A is basic with exactly n one-dimensional characters that
     form a cyclic group of order n under convolution through the coproduct.
 
     Also verifies the ideal generated by x is nilpotent (x-degrees add under
@@ -250,7 +257,8 @@ def check_basic(S: QuasiHopf) -> CheckResult:
     started = time.perf_counter()
     t = S.taft
     n, m = t.n, t.m
-    d = S.algebra
+    d = t.A
+    ops = S.frame
     witness = None
 
     # products add x-degrees; the x-ideal is therefore nilpotent of degree <= n^2
@@ -308,35 +316,23 @@ def check_basic(S: QuasiHopf) -> CheckResult:
 
     if witness is None:
         # convolution through the twisted coproduct: chi_s * chi_t = chi_{s+t},
-        # verified on every basis element of the coordinates in use (the maps
-        # are linear, so any basis is conclusive).  Only coproduct terms with
-        # both slots x-free contribute; on the aggregated-idempotent basis the
-        # characters are delta functions, so the sum is a coefficient lookup.
-        ops = S.ops()
-        frame_mode = ops.descriptor is not d
+        # verified on every frame basis element (the maps are linear, so any
+        # basis is conclusive).  Only coproduct terms with both slots x-free
+        # contribute; on the aggregated-idempotent basis the characters are
+        # delta functions, so the sum is a coefficient lookup.
         for idx in range(ops.descriptor.dim):
-            dd = ops.coproduct(idx)
             pairs = [
                 (k1 // m, k2 // m, c)
-                for (k1, k2), c in dd.terms.items()
+                for (k1, k2), c in ops.coproduct(idx).terms.items()
                 if k1 % m == 0 and k2 % m == 0
             ]
-            w, b = divmod(idx, m)
             for s in range(n):
                 for u in range(n):
                     acc = cy_zero()
-                    if frame_mode:
-                        for a1, a2, c in pairs:
-                            if a1 == s and a2 == u:
-                                acc = acc + c
-                        expected = (
-                            cy_one() if b == 0 and (s + u) % n == w % n else cy_zero()
-                        )
-                    else:
-                        for a1, a2, c in pairs:
-                            acc = acc + c * t.Q_power(s * a1) * t.Q_power(u * a2)
-                        expected = _character_value(S, (s + u) % n, idx)
-                    if acc != expected:
+                    for a1, a2, c in pairs:
+                        if a1 == s and a2 == u:
+                            acc = acc + c
+                    if acc != _frame_character(m, (s + u) % n, idx):
                         witness = (
                             f"convolution chi_{s} * chi_{u} differs from chi_{(s+u) % n} "
                             f"at {ops.descriptor.label(idx)}"
@@ -348,11 +344,11 @@ def check_basic(S: QuasiHopf) -> CheckResult:
                 break
     if witness is None:
         # the identity of the character group is the counit
-        for idx in range(d.dim):
-            if _character_value(S, 0, idx) != S.counit(idx):
-                witness = f"chi_0 differs from the counit at {d.label(idx)}"
+        for idx in range(ops.descriptor.dim):
+            if _frame_character(m, 0, idx) != ops.counit(idx):
+                witness = f"chi_0 differs from the counit at {ops.descriptor.label(idx)}"
                 break
-    return _timed("basic", started, witness)
+    return CheckResult.timed("basic", started, witness)
 
 
 def check_grading(S: QuasiHopf) -> CheckResult:
@@ -361,7 +357,7 @@ def check_grading(S: QuasiHopf) -> CheckResult:
     started = time.perf_counter()
     t = S.taft
     n, m = t.n, t.m
-    d = S.algebra
+    d = t.A
     witness = None
 
     # degree-zero part has dimension n (the a-powers)
@@ -389,7 +385,7 @@ def check_grading(S: QuasiHopf) -> CheckResult:
         ada = d.basis_tensor((m,)) * d.basis_tensor((1,)) * d.basis_tensor(((n - 1) * m,))
         if ada != d.basis_tensor((1,)).scale(t.Q):
             witness = "Ad(a) does not act by Q on the degree-one layer"
-    return _timed("grading", started, witness)
+    return CheckResult.timed("grading", started, witness)
 
 
 def check_radical_ideal(S: QuasiHopf) -> CheckResult:
@@ -402,7 +398,7 @@ def check_radical_ideal(S: QuasiHopf) -> CheckResult:
     started = time.perf_counter()
     t = S.taft
     m = t.m
-    ops = S.ops()
+    ops = S.frame
     d = ops.descriptor
     witness = None
     for idx in range(d.dim):
@@ -424,4 +420,4 @@ def check_radical_ideal(S: QuasiHopf) -> CheckResult:
         if any(k % m == 0 for (k,) in ops.antipode(idx).terms):
             witness = f"antipode pushes {d.label(idx)} out of the radical"
             break
-    return _timed("radical_ideal", started, witness)
+    return CheckResult.timed("radical_ideal", started, witness)

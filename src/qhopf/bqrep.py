@@ -220,12 +220,7 @@ def check_bq_relations(D: DegreeOneModule) -> CheckResult:
             witness = "rescaled xi^n != 1"
         elif not mat_eq(mat_pow(rescaled.eta_mat, n), ident):
             witness = "rescaled eta^n != 1"
-    return CheckResult(
-        name="bq_relations",
-        passed=witness is None,
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    return CheckResult.timed("bq_relations", started, witness)
 
 
 def weighted_spectrum(D: DegreeOneModule) -> list:
@@ -320,12 +315,7 @@ def check_bq_semisimple(n: int, Q_exponent: int = 1) -> CheckResult:
         rank = sparse_rank(rows)
         if rank != n**3:
             witness = f"span of monomial operators has rank {rank}, expected {n**3}"
-    return CheckResult(
-        name=f"bq_semisimple[Q-exp {Q_exponent % n}]",
-        passed=witness is None,
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    return CheckResult.timed(f"bq_semisimple[Q-exp {Q_exponent % n}]", started, witness)
 
 
 def structure_invariant(S: QuasiHopf):
@@ -352,10 +342,5 @@ def nonisomorphism_invariant(n: int, e1: int, e2: int, structures=None) -> Check
         structures = (build_quasi_hopf(n, e1), build_quasi_hopf(n, e2))
     p1 = structure_invariant(structures[0])
     p2 = structure_invariant(structures[1])
-    distinguished = p1 != p2
-    return CheckResult(
-        name=f"distinguish[e={e1},e={e2}]",
-        passed=distinguished,
-        witness=None if distinguished else "invariant pairs coincide",
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    witness = None if p1 != p2 else "invariant pairs coincide"
+    return CheckResult.timed(f"distinguish[e={e1},e={e2}]", started, witness)

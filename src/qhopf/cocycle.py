@@ -120,12 +120,7 @@ def check_cocycle(c: ThreeCochain) -> CheckResult:
                     break
             if witness:
                 break
-    return CheckResult(
-        name="cocycle_condition",
-        passed=witness is None,
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    return CheckResult.timed("cocycle_condition", started, witness)
 
 
 def class_invariant(c: ThreeCochain) -> Cyclotomic:

@@ -1,7 +1,7 @@
 """Deliberately broken structures, used as negative controls.
 
 Each constructor returns a copy of the input structure with one documented
-defect, patched consistently in both the carrier and frame coordinates:
+defect, patched in its frame (the aggregated-idempotent coordinates):
 
 * :func:`corrupted_associator` scales one associator coefficient by q
   (the aggregated-idempotent triple (1,1,1)), which breaks the pentagon.
@@ -33,42 +33,29 @@ def corrupted_associator(S: QuasiHopf) -> QuasiHopf:
     terms = dict(frame.associator.terms)
     terms[key] = terms[key] * t.q
     phi = Tensor(frame.descriptor, 3, terms)
-    new_frame = replace(frame, associator=phi, associator_inv=invert(phi))
     return replace(
         S,
         label=S.label + " [mutated associator]",
-        associator=t.sub_from_bold(phi),
-        frame=new_frame,
+        frame=replace(frame, associator=phi, associator_inv=invert(phi)),
         meta={**S.meta, "corruption": "associator coefficient at (1,1,1) scaled by q"},
     )
 
 
 def corrupted_alpha(S: QuasiHopf) -> QuasiHopf:
-    new_frame = replace(S.frame, alpha=S.frame.descriptor.unit_tensor(1))
     return replace(
         S,
         label=S.label + " [alpha := 1]",
-        alpha=S.algebra.unit_tensor(1),
-        frame=new_frame,
+        frame=replace(S.frame, alpha=S.frame.descriptor.unit_tensor(1)),
         meta={**S.meta, "corruption": "alpha replaced by the unit"},
     )
 
 
 def corrupted_coproduct(S: QuasiHopf) -> QuasiHopf:
-    t = S.taft
-    m, n = t.m, t.n
-    base_c = S.coproduct
-    base_f = S.frame.coproduct
+    m = S.taft.m
+    base = S.frame.coproduct
 
-    def cop_carrier(idx: int) -> Tensor:
-        out = base_c(idx)
-        if idx == 1:
-            kept = {k: c for k, c in out.terms.items() if k[0] != (n - 1) * m}
-            return Tensor(out.algebra, 2, kept)
-        return out
-
-    def cop_frame(idx: int) -> Tensor:
-        out = base_f(idx)
+    def coproduct(idx: int) -> Tensor:
+        out = base(idx)
         s, b = divmod(idx, m)
         if b == 1:
             kept = {k: c for k, c in out.terms.items() if k != (s * m, 1)}
@@ -78,7 +65,6 @@ def corrupted_coproduct(S: QuasiHopf) -> QuasiHopf:
     return replace(
         S,
         label=S.label + " [dropped coproduct term]",
-        coproduct=cop_carrier,
-        frame=replace(S.frame, coproduct=cop_frame),
+        frame=replace(S.frame, coproduct=coproduct),
         meta={**S.meta, "corruption": "wrap-around term of Delta(x) dropped"},
     )

@@ -7,8 +7,8 @@ floating point and no tolerance anywhere in this module.
 
 Mixed conductors are handled by embedding both operands into the field of
 conductor lcm(m1, m2) before operating.  Division solves the linear system
-b * x = 1 over the rationals in the power basis, which avoids a polynomial
-extended-gcd implementation.
+b * x = 1 over the rationals in the power basis with the Gauss-Jordan routine
+of :mod:`qhopf.linalg`, which avoids a polynomial extended-gcd implementation.
 """
 
 from __future__ import annotations
@@ -306,10 +306,13 @@ class Cyclotomic:
                 col = {e: v for e, v in nxt.items() if v}
             cols.append(dict(col))
         mat = [[cols[j].get(i, Fraction(0)) for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(phi)]
-        sol = _solve_fraction(mat, rhs)
+        rhs = [[Fraction(1 if i == 0 else 0)] for i in range(phi)]
+        # imported here: linalg builds on this module
+        from .linalg import solve
+
+        sol = solve(mat, rhs)
         assert sol is not None, "nonzero field element must be invertible"
-        return Cyclotomic(self.conductor, {e: v for e, v in enumerate(sol) if v})
+        return Cyclotomic(self.conductor, {e: v for e, (v,) in enumerate(sol) if v})
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -390,28 +393,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {self.render()})"
-
-
-def _solve_fraction(mat: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve a square Fraction system in place; None if singular."""
-    n = len(mat)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    row = 0
-    piv_cols = []
-    for col in range(n):
-        piv = next((r for r in range(row, n) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(n):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        piv_cols.append(col)
-        row += 1
-    return [m[i][n] for i in range(n)]
 
 
 def zero(conductor: int = 1) -> Cyclotomic:

@@ -1,7 +1,9 @@
 """Small exact linear algebra over cyclotomic scalars.
 
 Dense matrices are lists of row lists; sparse rows are dicts keyed by column.
-Everything is Gaussian elimination with exact division and no pivot tolerance.
+Everything is Gaussian elimination with exact division and no pivot tolerance:
+one dense Gauss-Jordan routine, :func:`solve`, which also inverts elements of
+the cyclotomic fields, and :func:`sparse_rank` for sparse row families.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ __all__ = [
     "mat_pow",
     "nullspace_dimension",
     "scalar_matrix",
-    "solve_square",
+    "solve",
     "sparse_rank",
 ]
 
@@ -59,44 +61,32 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_inverse(a):
-    """Inverse of a square matrix, or None if singular."""
+def solve(a, b):
+    """Gauss-Jordan elimination: the matrix x with a x = b, or None if the
+    square matrix a is singular.
+
+    Entries may be Fractions or Cyclotomic numbers, mixed with ints; each
+    pivot is inverted as ``1 / pivot``.
+    """
     n = len(a)
-    m = [row[:] + identity_matrix(n)[i] for i, row in enumerate(a)]
-    row = 0
+    m = [ra[:] + rb[:] for ra, rb in zip(a, b)]
     for col in range(n):
-        piv = next((r for r in range(row, n) if m[r][col]), None)
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
             return None
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col].inverse()
-        m[row] = [v * inv for v in m[row]]
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
         for r in range(n):
-            if r != row and m[r][col]:
+            if r != col and m[r][col]:
                 f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        row += 1
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return [r[n:] for r in m]
 
 
-def solve_square(a, rhs):
-    """Solve a x = rhs for a square and invertible a; None if singular."""
-    n = len(a)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col].inverse()
-        m[row] = [v * inv for v in m[row]]
-        for r in range(n):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        row += 1
-    return [m[i][n] for i in range(n)]
+def mat_inverse(a):
+    """Inverse of a square matrix, or None if singular."""
+    return solve(a, identity_matrix(len(a)))
 
 
 def sparse_rank(rows: list[dict[int, Cyclotomic]]) -> int:

@@ -19,7 +19,8 @@ a defect in any closed form surfaces as a failed check, and is never baked in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cache
+from typing import Callable
 
 from .algebra import AlgebraDescriptor, Tensor, apply_on_factor, invert
 from .cyclotomic import Cyclotomic
@@ -29,7 +30,6 @@ __all__ = [
     "ConstructionError",
     "Coordinates",
     "QuasiHopf",
-    "TableMap",
     "aggregate_to_bold",
     "alpha_closed_form",
     "antipode_elements",
@@ -56,20 +56,6 @@ class ConstructionError(RuntimeError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class TableMap:
-    """Memoized basis-indexed linear map."""
-
-    def __init__(self, fn: Callable[[int], object]):
-        self.fn = fn
-        self.memo: dict = {}
-
-    def __call__(self, idx: int):
-        hit = self.memo.get(idx)
-        if hit is None:
-            hit = self.memo[idx] = self.fn(idx)
-        return hit
 
 
 # -- the twist ----------------------------------------------------------------
@@ -322,69 +308,43 @@ class Coordinates:
 @dataclass
 class QuasiHopf:
     """An algebra packaged with coproduct, counit, associator, antipode and
-    the distinguished elements alpha, beta.
+    the distinguished elements alpha, beta, all held in one coordinate
+    ``frame``.
 
-    ``algebra`` is the reporting basis (monomials); ``frame``, when present,
-    carries the same maps over the aggregated-idempotent basis, where products
-    are single-term and the associator is diagonal.  All verification runs in
-    whichever coordinates :meth:`ops` returns.
+    For the twisted subalgebra A the frame is the aggregated-idempotent basis,
+    where products are single-term and the associator is diagonal; for the
+    Hopf algebra H it is the monomial basis.  All verification runs in the
+    frame; monomial coordinates of A are reached through the basis changes of
+    :class:`TaftAlgebra`.
     """
 
     label: str
     taft: TaftAlgebra
-    algebra: AlgebraDescriptor
-    coproduct: Callable[[int], Tensor]
-    counit: Callable[[int], Cyclotomic]
-    antipode: Callable[[int], Tensor]
-    associator: Tensor
-    alpha: Tensor
-    beta: Tensor
-    frame: Optional[Coordinates] = None
+    frame: Coordinates
     meta: dict = field(default_factory=dict)
-    _carrier_ops: Optional[Coordinates] = field(
-        default=None, repr=False, init=False, compare=False
-    )
 
     @property
     def dim(self) -> int:
-        return self.algebra.dim
-
-    def ops(self) -> Coordinates:
-        if self.frame is not None:
-            return self.frame
-        if self._carrier_ops is None:
-            assoc = self.associator
-            if assoc == self.algebra.unit_tensor(3):
-                assoc_inv = assoc
-            else:
-                assoc_inv = invert(assoc)
-            self._carrier_ops = Coordinates(
-                descriptor=self.algebra,
-                coproduct=self.coproduct,
-                counit=self.counit,
-                antipode=self.antipode,
-                associator=assoc,
-                associator_inv=assoc_inv,
-                alpha=self.alpha,
-                beta=self.beta,
-            )
-        return self._carrier_ops
+        return self.frame.descriptor.dim
 
 
 def taft_hopf(n: int, exponent: int = 1, taft: TaftAlgebra | None = None) -> QuasiHopf:
     """H(q) itself, packaged with the trivial associator and alpha = beta = 1."""
     t = taft if taft is not None else TaftAlgebra(n, exponent)
+    unit3 = t.H.unit_tensor(3)
     return QuasiHopf(
         label=f"H(n={n}, e={t.exponent})",
         taft=t,
-        algebra=t.H,
-        coproduct=TableMap(t.delta_basis),
-        counit=TableMap(t.epsilon_basis),
-        antipode=TableMap(t.antipode_basis),
-        associator=t.H.unit_tensor(3),
-        alpha=t.unit,
-        beta=t.unit,
-        frame=None,
+        frame=Coordinates(
+            descriptor=t.H,
+            coproduct=t.delta_basis,
+            counit=t.epsilon_basis,
+            antipode=t.antipode_basis,
+            associator=unit3,
+            associator_inv=unit3,
+            alpha=t.unit,
+            beta=t.unit,
+        ),
         meta={"kind": "hopf"},
     )
 
@@ -396,7 +356,8 @@ def build_quasi_hopf(
     twist: Tensor | None = None,
     associator_primitive: Tensor | None = None,
 ) -> QuasiHopf:
-    """The n^3-dimensional quasi-Hopf structure carried by A = <a, x>.
+    """The n^3-dimensional quasi-Hopf structure carried by A = <a, x>, in
+    the aggregated-idempotent frame.
 
     Every ingredient is produced by the literal twist computation; membership
     of the twisted maps in A is enforced here (a failure is a construction
@@ -415,16 +376,14 @@ def build_quasi_hopf(
         if associator_primitive is not None
         else coboundary_associator(t, J)
     )
-    phi_bold = aggregate_to_bold(t, phi_prim)
-    phi_carrier = t.sub_from_bold(phi_bold)
-    phi_bold_inv = invert(phi_bold)
+    phi = aggregate_to_bold(t, phi_prim)
+    phi_inv = invert(phi)
 
     # twisted coproduct of x and of the a-powers, by literal conjugation
     dx_h = twisted_coproduct(t, t.x, J, Jinv)
     if not dx_h.in_span(t.a_indices_in_h):
         bad = next(k for k in dx_h.terms if any(i not in t.a_indices_in_h for i in k))
         raise ConstructionError("twisted coproduct of x leaves A (x) A", witness=bad)
-    dx_a = t.project_to_sub(dx_h)
     da_tables = []
     for i in range(n):
         di_h = twisted_coproduct(t, t.monomial(t.n * i, 0), J, Jinv)
@@ -434,16 +393,8 @@ def build_quasi_hopf(
             )
         da_tables.append(t.project_to_sub(di_h))
 
-    dx_pows_a = [t.A.unit_tensor(2), dx_a]
-
-    def coproduct_a(idx: int) -> Tensor:
-        i, j = divmod(idx, m)
-        while len(dx_pows_a) <= j:
-            dx_pows_a.append(dx_pows_a[-1] * dx_a)
-        return da_tables[i] * dx_pows_a[j]
-
-    # frame coproduct over aggregated idempotents
-    dx_f = t.sub_to_bold(dx_a)
+    # the coproduct is an algebra map: Delta(1_s x^b) = Delta(1_s) Delta(x)^b
+    dx_f = t.sub_to_bold(t.project_to_sub(dx_h))
     dx_pows_f = [t.A_bold.unit_tensor(2), dx_f]
     da_f = []
     for s in range(n):
@@ -462,65 +413,43 @@ def build_quasi_hopf(
     # computed product alpha_J beta_J, whatever grouplike it turns out to be
     alpha_j, beta_j = antipode_elements(t, J)
     beta_j_inv = invert(beta_j)
-    product = alpha_j * beta_j
-    product_mon = t.from_idem(product)
+    product_mon = t.from_idem(alpha_j * beta_j)
     if not product_mon.in_span(t.a_indices_in_h):
         raise ConstructionError("alpha_J beta_J leaves A", witness=None)
-    alpha_carrier = t.project_to_sub(product_mon)
-    if alpha_carrier == t.sub_monomial(1, 0):
+    alpha = t.project_to_sub(product_mon)
+    if alpha == t.sub_monomial(1, 0):
         alpha_name = "a" if n > 2 else "a = a^(-1)"
-    elif alpha_carrier == t.sub_monomial(n - 1, 0):
+    elif alpha == t.sub_monomial(n - 1, 0):
         alpha_name = "a^(-1)"
     else:
         alpha_name = "neither a nor a^(-1)"
-    beta_carrier = t.A.unit_tensor(1)
 
-    # twisted antipode on the carrier and on the frame
-    def antipode_a(idx: int) -> Tensor:
-        i, j = divmod(idx, m)
-        s_h = twisted_antipode(t, t.monomial(t.n * i, j), beta_j, beta_j_inv)
+    def antipode_f(idx: int) -> Tensor:
+        u = t.embed_sub(t.sub_from_bold(t.A_bold.basis_tensor((idx,))))
+        s_h = twisted_antipode(t, u, beta_j, beta_j_inv)
         if not s_h.in_span(t.a_indices_in_h):
             raise ConstructionError(
                 f"twisted antipode leaves A at basis index {idx}", witness=idx
             )
-        return t.project_to_sub(s_h)
-
-    antipode_a_table = TableMap(antipode_a)
-
-    def antipode_f(idx: int) -> Tensor:
-        v = t.sub_from_bold(t.A_bold.basis_tensor((idx,)))
-        acc = Tensor(t.A, 1, {})
-        for (k,), c in v.terms.items():
-            acc = acc + antipode_a_table(k).scale(c)
-        return t.sub_to_bold(acc)
-
-    def counit_a(idx: int) -> Cyclotomic:
-        return t.epsilon(t.embed_sub(t.A.basis_tensor((idx,))))
+        return t.sub_to_bold(t.project_to_sub(s_h))
 
     def counit_f(idx: int) -> Cyclotomic:
         return t.epsilon(t.embed_sub(t.sub_from_bold(t.A_bold.basis_tensor((idx,)))))
 
     frame = Coordinates(
         descriptor=t.A_bold,
-        coproduct=TableMap(coproduct_f),
-        counit=TableMap(counit_f),
-        antipode=TableMap(antipode_f),
-        associator=phi_bold,
-        associator_inv=phi_bold_inv,
-        alpha=t.sub_to_bold(alpha_carrier),
+        coproduct=cache(coproduct_f),
+        counit=cache(counit_f),
+        antipode=cache(antipode_f),
+        associator=phi,
+        associator_inv=phi_inv,
+        alpha=t.sub_to_bold(alpha),
         beta=t.A_bold.unit_tensor(1),
     )
 
     return QuasiHopf(
         label=f"A(n={n}, e={t.exponent})",
         taft=t,
-        algebra=t.A,
-        coproduct=TableMap(coproduct_a),
-        counit=TableMap(counit_a),
-        antipode=antipode_a_table,
-        associator=phi_carrier,
-        alpha=alpha_carrier,
-        beta=beta_carrier,
         frame=frame,
         meta={
             "kind": "twisted-subalgebra",
@@ -529,6 +458,5 @@ def build_quasi_hopf(
             "twist_inverse": Jinv,
             "alpha_J": alpha_j,
             "beta_J": beta_j,
-            "coproduct_x_carrier": dx_a,
         },
     )

@@ -152,9 +152,30 @@ def test_failure_exit_code_with_corrupted_selection(tmp_path, monkeypatch):
     assert not check_pentagon(bad).passed
 
 
-def test_witness_serialized_on_failure():
-    # run a suite against a deliberately corrupted check via run_suite's
-    # error-capture path: an invalid exponent raises inside construction
-    config = RunConfig(n=3, q_exponents=[1], checks=["pentagon"], seed=0)
+def test_witness_serialized_on_failure(monkeypatch):
+    # a construction failure must come back as failed checks in a report,
+    # not escape run_suite: feed the build an associator with one coefficient
+    # scaled by q, which breaks residue-class constancy on A
+    import qhopf.cli as cli
+    from qhopf.algebra import Tensor
+    from qhopf.twist import cyclic_associator
+
+    def broken_associator(t, J=None):
+        phi = cyclic_associator(t, -1)
+        terms = dict(phi.terms)
+        key = (0, 0, 2 * t.m)
+        terms[key] = terms[key] * t.q
+        return Tensor(phi.algebra, 3, terms)
+
+    monkeypatch.setattr(cli, "coboundary_associator", broken_associator)
+    config = RunConfig(n=2, q_exponents=[1], checks=list(ALL_CHECK_NAMES), seed=0)
     report, code = run_suite(config)
-    assert code == 0 and report["summary"]["failed"] == 0
+    assert code == 1
+    entry = report["structures"][0]
+    assert "alpha_identification" not in entry
+    checks = {c["name"]: c for c in entry["checks"]}
+    assert checks["associator_identity"]["witness"] == (
+        "coboundary differs from the l = -1 associator at (0, 0, 8)"
+    )
+    assert checks["pentagon"]["status"] == "fail"
+    assert "coefficient at (0, 0, 8)" in checks["pentagon"]["witness"]

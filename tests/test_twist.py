@@ -126,17 +126,23 @@ def test_twisted_coproduct_fixes_grouplikes_of_A(t2, t3):
         assert twisted_coproduct(t, t.a) == t.a.tensor(t.a)
 
 
+def _frame_on_monomial(t, fmap, idx, rank):
+    """A frame map on the monomial a^i x^j (idx = i m + j) of A, returned in
+    the monomial coordinates of H."""
+    u = t.sub_to_bold(t.A.basis_tensor((idx,)))
+    return t.embed_sub(t.sub_from_bold(apply_on_factor(u, fmap, 1, rank)))
+
+
 def test_twisted_coproduct_multiplicative_route_agrees(t2, t3):
-    # the cached algebra-map route used for bulk sweeps must match the
-    # literal conjugation on every basis monomial of A
+    # the frame table, built multiplicatively from Delta(1_s) and Delta(x),
+    # must match the literal conjugation on every basis monomial of A
     for t in (t2, t3):
         s = build_quasi_hopf(t.n, t.exponent)
         for i in range(t.n):
             for j in range(t.m):
                 literal = twisted_coproduct(t, t.monomial(t.n * i, j))
-                table = s.coproduct(i * t.m + j)
-                lifted = t.embed_sub(table)
-                assert lifted == literal, f"route mismatch at a^{i} x^{j}"
+                table = _frame_on_monomial(t, s.frame.coproduct, i * t.m + j, 2)
+                assert table == literal, f"route mismatch at a^{i} x^{j}"
 
 
 def test_antipode_elements_closed_forms(t2, t3):
@@ -180,11 +186,18 @@ def test_twisted_antipode_closed_form(t2, t3):
         assert twisted_antipode(t, t.a) == t.monomial(-t.n, 0)
 
 
-def test_twisted_antipode_preserves_A(t3):
-    s = build_quasi_hopf(3)
-    for idx in range(s.algebra.dim):
-        out = s.antipode(idx)  # raises if the image leaves A
-        assert out.rank == 1
+def test_twisted_antipode_preserves_A(t2, t3):
+    for t in (t2, t3):
+        s = build_quasi_hopf(t.n, t.exponent)
+        for idx in range(s.dim):
+            out = s.frame.antipode(idx)  # raises if the image leaves A
+            assert out.rank == 1
+        # the frame antipode is the literal twisted antipode on every monomial
+        for i in range(t.n):
+            for j in range(t.m):
+                literal = twisted_antipode(t, t.monomial(t.n * i, j))
+                table = _frame_on_monomial(t, s.frame.antipode, i * t.m + j, 1)
+                assert table == literal, f"antipode mismatch at a^{i} x^{j}"
 
 
 def test_build_quasi_hopf_shapes(t2):
@@ -194,7 +207,7 @@ def test_build_quasi_hopf_shapes(t2):
     s3 = build_quasi_hopf(3)
     assert s3.dim == 27
     assert s3.meta["alpha_identification"] == "a"
-    assert s3.alpha == s3.taft.sub_monomial(1, 0)
+    assert s3.taft.sub_from_bold(s3.frame.alpha) == s3.taft.sub_monomial(1, 0)
 
 
 def test_build_rejects_bad_parameters():
@@ -203,11 +216,17 @@ def test_build_rejects_bad_parameters():
 
 
 def test_frame_tables_match_carrier(t3):
+    # the carrier coordinates of A are its monomials; there the coproduct is
+    # Delta(a)^i Delta(x)^j, each factor projected from the literal twist
     s = build_quasi_hopf(3)
     t = s.taft
+    da = t.project_to_sub(twisted_coproduct(t, t.a))
+    dx = t.project_to_sub(twisted_coproduct(t, t.x))
     for idx in [0, 1, t.m, t.m + 2, 2 * t.m + 1]:
-        carrier = s.coproduct(idx)
         i, j = divmod(idx, t.m)
+        carrier = t.A.unit_tensor(2)
+        for factor in [da] * i + [dx] * j:
+            carrier = carrier * factor
         # expand the corresponding frame entries back to carrier coordinates
         u_bold = t.sub_to_bold(t.A.basis_tensor((idx,)))
         acc = Tensor(t.A_bold, 2, {})
@@ -219,6 +238,6 @@ def test_frame_tables_match_carrier(t3):
 def test_taft_hopf_structure(t2):
     h = taft_hopf(2)
     assert h.dim == 16
-    assert h.associator == h.taft.H.unit_tensor(3)
-    ops = h.ops()
-    assert ops.associator_inv == ops.associator
+    assert h.frame.descriptor is h.taft.H
+    assert h.frame.associator == h.taft.H.unit_tensor(3)
+    assert h.frame.associator_inv == h.frame.associator
