@@ -255,9 +255,11 @@ def _block_equations(mats):
                 for k in range(n):
                     # (mat M - M mat)[i][j] = sum_k mat[i][k] M[k][j] - M[i][k] mat[k][j]
                     if not mat[i][k].is_zero():
-                        row[k * n + j] = row.get(k * n + j, cy_zero()) + mat[i][k]
+                        c = k * n + j
+                        row[c] = row[c] + mat[i][k] if c in row else mat[i][k]
                     if not mat[k][j].is_zero():
-                        row[i * n + k] = row.get(i * n + k, cy_zero()) - mat[k][j]
+                        c = i * n + k
+                        row[c] = row[c] - mat[k][j] if c in row else -mat[k][j]
                 row = {c: v for c, v in row.items() if not v.is_zero()}
                 if row:
                     rows.append(row)

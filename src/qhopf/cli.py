@@ -101,6 +101,7 @@ class BuildContext:
         self._taft = None
         self._hopf = None
         self._struct = None
+        self._struct_error = None
         self._twist = None
         self._twist_inv = None
         self._phi_prim = None
@@ -119,14 +120,22 @@ class BuildContext:
 
     @property
     def struct(self):
+        # a structure that cannot be built fails the same way for every
+        # check, so the first error is kept and raised again
+        if self._struct_error is not None:
+            raise self._struct_error
         if self._struct is None:
-            self._struct = build_quasi_hopf(
-                self.n,
-                self.exponent,
-                taft=self.taft,
-                twist=self.twist,
-                associator_primitive=self.phi_prim,
-            )
+            try:
+                self._struct = build_quasi_hopf(
+                    self.n,
+                    self.exponent,
+                    taft=self.taft,
+                    twist=self.twist,
+                    associator_primitive=self.phi_prim,
+                )
+            except (ConstructionError, SingularElementError) as err:
+                self._struct_error = err
+                raise
         return self._struct
 
     @property
@@ -152,6 +161,7 @@ class BuildContext:
         self._taft = None
         self._hopf = None
         self._struct = None
+        self._struct_error = None
         self._twist = None
         self._twist_inv = None
         self._phi_prim = None

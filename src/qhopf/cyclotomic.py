@@ -6,15 +6,17 @@ form is canonical, so equality is literal coefficient equality: there is no
 floating point and no tolerance anywhere in this module.
 
 Mixed conductors are handled by embedding both operands into the field of
-conductor lcm(m1, m2) before operating.  Division solves the linear system
-b * x = 1 over the rationals in the power basis with the Gauss-Jordan routine
-of :mod:`qhopf.linalg`, which avoids a polynomial extended-gcd implementation.
+conductor lcm(m1, m2) before operating.  Division multiplies by the inverse:
+a rational multiple of a root of unity zeta_m^k, found in a per-conductor
+table of the canonical forms of the m roots, inverts by negating k; any other
+nonzero element inverts by the extended Euclidean algorithm against Phi_m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm
 
 __all__ = [
@@ -36,7 +38,7 @@ def euler_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+def _poly_mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -46,8 +48,8 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials; den must be monic."""
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of polynomials, constant first; den must be monic."""
     assert den[-1] == 1
     num = list(num)
     qlen = len(num) - len(den) + 1
@@ -103,6 +105,60 @@ def _reduction_rows(m: int) -> tuple[dict[int, int], ...]:
                     nxt[e2] = nxt.get(e2, 0) + c * c2
         rows.append({e: c for e, c in nxt.items() if c})
     return tuple(rows)
+
+
+def _scaled_key(coeffs: dict, low) -> frozenset:
+    """The power-basis coefficients divided by low, as a hashable set."""
+    if low == 1:
+        return frozenset(coeffs.items())
+    if low == -1:
+        return frozenset((e, -v) for e, v in coeffs.items())
+    inv = 1 / Fraction(low)
+    return frozenset((e, v * inv) for e, v in coeffs.items())
+
+
+@lru_cache(maxsize=None)
+def _root_table(m: int) -> dict[frozenset, tuple[int, object]]:
+    """Canonical forms of zeta_m^k, divided by their lowest-exponent
+    coefficient, mapped to (k, that coefficient).
+
+    For even m, zeta^k and zeta^(k + m/2) = -zeta^k share a key; the first k
+    is kept, which reads any rational multiple of either correctly.
+    """
+    table: dict[frozenset, tuple[int, object]] = {}
+    for k in range(m):
+        c = root_of_unity(m, k)._c
+        low = c[min(c)]
+        table.setdefault(_scaled_key(c, low), (k, low))
+    return table
+
+
+def _euclid_inverse(coeffs: dict, m: int) -> dict[int, Fraction]:
+    """Power-basis coefficients of s with s * x = 1 mod Phi_m, where x is the
+    nonzero element with the given coefficients.
+
+    Extended Euclid over Q on (Phi_m, x), keeping each remainder monic so the
+    division steps need no inversions; Phi_m is irreducible, so the last
+    nonzero remainder is the constant 1.
+    """
+    # Fractions throughout: an int entry of Phi_m that no division step
+    # touches would make v / lead a float
+    r0 = [Fraction(v) for v in cyclotomic_polynomial(m)]
+    r1 = [Fraction(coeffs.get(e, 0)) for e in range(max(coeffs) + 1)]
+    lead = r1[-1]
+    r1 = [v / lead for v in r1]
+    s0: list[Fraction] = []
+    s1 = [1 / lead]
+    while len(r1) > 1:
+        quot, rem = _poly_divmod(r0, r1)
+        while not rem[-1]:
+            rem.pop()
+        # s0 - quot * s1, the cofactor of x in rem
+        s = [a - b for a, b in zip_longest(s0, _poly_mul(quot, s1), fillvalue=0)]
+        lead = rem[-1]
+        r0, r1 = r1, [v / lead for v in rem]
+        s0, s1 = s1, [v / lead for v in s]
+    return {e: v for e, v in enumerate(s1) if v}
 
 
 def _norm_val(v):
@@ -279,40 +335,30 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse, by solving self * x = 1 in the power basis."""
+        """Multiplicative inverse.
+
+        A multiple c * zeta_m^k of a root of unity inverts to
+        (1/c) * zeta_m^(-k); any other nonzero element inverts by the
+        extended Euclidean algorithm against Phi_m.
+        """
         if not self._c:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
+        m = self.conductor
         if len(self._c) == 1:
             # c * z^e inverts to (1/c) * z^(-e)
-            ((e, v),) = self._c.items()
-            inv_root = root_of_unity(self.conductor, -e if e else 0)
-            return Cyclotomic(
-                self.conductor, {k: Fraction(1, 1) / Fraction(v) * c for k, c in inv_root._c.items()}
-            )
-        phi = euler_phi(self.conductor)
-        rows = _reduction_rows(self.conductor)
-        # columns of the multiplication-by-self matrix in the power basis
-        cols = []
-        col = {e: Fraction(v) for e, v in self._c.items()}
-        for j in range(phi):
-            if j:
-                nxt: dict[int, Fraction] = {}
-                for e, v in col.items():
-                    if e + 1 < phi:
-                        nxt[e + 1] = nxt.get(e + 1, 0) + v
-                    else:
-                        for e2, c2 in rows[e + 1].items():
-                            nxt[e2] = nxt.get(e2, 0) + v * c2
-                col = {e: v for e, v in nxt.items() if v}
-            cols.append(dict(col))
-        mat = [[cols[j].get(i, Fraction(0)) for j in range(phi)] for i in range(phi)]
-        rhs = [[Fraction(1 if i == 0 else 0)] for i in range(phi)]
-        # imported here: linalg builds on this module
-        from .linalg import solve
-
-        sol = solve(mat, rhs)
-        assert sol is not None, "nonzero field element must be invertible"
-        return Cyclotomic(self.conductor, {e: v for e, (v,) in enumerate(sol) if v})
+            ((e, c),) = self._c.items()
+            k, low = e, 1
+        else:
+            c = self._c[min(self._c)]
+            hit = _root_table(m).get(_scaled_key(self._c, c))
+            if hit is None:
+                return Cyclotomic.from_terms(m, _euclid_inverse(self._c, m))
+            k, low = hit
+        inv_root = root_of_unity(m, -k)
+        scale = Fraction(low) / Fraction(c)
+        if scale == 1:
+            return inv_root
+        return Cyclotomic._make(m, {e: v * scale for e, v in inv_root._c.items()})
 
     def __truediv__(self, other):
         a, b = self._pair(other)

@@ -2,8 +2,8 @@
 
 Dense matrices are lists of row lists; sparse rows are dicts keyed by column.
 Everything is Gaussian elimination with exact division and no pivot tolerance:
-one dense Gauss-Jordan routine, :func:`solve`, which also inverts elements of
-the cyclotomic fields, and :func:`sparse_rank` for sparse row families.
+one dense Gauss-Jordan routine, :func:`solve`, for matrices, and
+:func:`sparse_rank` for sparse row families.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ def sparse_rank(rows: list[dict[int, Cyclotomic]]) -> int:
                 p = pivots[col]
                 f = r[col]
                 for c, v in p.items():
-                    nv = r.get(c, zero()) - f * v
+                    old = r.get(c)
+                    nv = -(f * v) if old is None else old - f * v
                     if nv.is_zero():
                         r.pop(c, None)
                     else:

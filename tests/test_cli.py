@@ -158,7 +158,7 @@ def test_witness_serialized_on_failure(monkeypatch):
     # scaled by q, which breaks residue-class constancy on A
     import qhopf.cli as cli
     from qhopf.algebra import Tensor
-    from qhopf.twist import cyclic_associator
+    from qhopf.twist import build_quasi_hopf, cyclic_associator
 
     def broken_associator(t, J=None):
         phi = cyclic_associator(t, -1)
@@ -167,10 +167,19 @@ def test_witness_serialized_on_failure(monkeypatch):
         terms[key] = terms[key] * t.q
         return Tensor(phi.algebra, 3, terms)
 
+    builds = []
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build_quasi_hopf(*args, **kwargs)
+
     monkeypatch.setattr(cli, "coboundary_associator", broken_associator)
+    monkeypatch.setattr(cli, "build_quasi_hopf", counted_build)
     config = RunConfig(n=2, q_exponents=[1], checks=list(ALL_CHECK_NAMES), seed=0)
     report, code = run_suite(config)
     assert code == 1
+    # the failed build is remembered, not repeated by every check
+    assert len(builds) == 1
     entry = report["structures"][0]
     assert "alpha_identification" not in entry
     checks = {c["name"]: c for c in entry["checks"]}

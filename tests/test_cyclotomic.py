@@ -15,6 +15,7 @@ from qhopf.cyclotomic import (
     root_of_unity,
     zero,
 )
+from qhopf.linalg import solve
 
 SMALL_CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25]
 
@@ -143,6 +144,7 @@ def test_inverse_of_dense_element():
     assert inv * a == one()
 
 
+
 def test_coeffs_vector_shape():
     q = root_of_unity(9, 1)
     assert len(q.coeffs) == euler_phi(9)
@@ -200,3 +202,76 @@ def test_division_round_trip(m, ca, cb):
 @given(m=st.sampled_from([2, 3, 4, 6, 9, 12]), e=st.integers(-30, 30))
 def test_root_m_th_power_is_one(m, e):
     assert (root_of_unity(m, e) ** m).is_one()
+
+
+# conductor 36 is the first with two distinct primes, the one n = 6 uses
+INVERSE_CONDUCTORS = SMALL_CONDUCTORS + [36]
+
+
+def _oracle_inverse(x):
+    """x^(-1) by Gauss-Jordan on the multiplication-by-x matrix of the power
+    basis: the column j holds the coordinates of x * z^j."""
+    m = x.conductor
+    phi = euler_phi(m)
+    cols = [(x * root_of_unity(m, j)).coeffs for j in range(phi)]
+    mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
+    rhs = [[Fraction(1 if i == 0 else 0)] for i in range(phi)]
+    sol = solve(mat, rhs)
+    return Cyclotomic(m, {e: v for e, (v,) in enumerate(sol)})
+
+
+@pytest.mark.parametrize("m", INVERSE_CONDUCTORS)
+def test_inverse_of_root_multiples_matches_oracle(m):
+    for c in (1, -1, Fraction(3, 2)):
+        for k in range(m):
+            x = root_of_unity(m, k) * c
+            inv = x.inverse()
+            assert inv == _oracle_inverse(x), (c, k)
+            assert (x * inv).is_one()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    m=st.sampled_from(INVERSE_CONDUCTORS),
+    coeffs=st.lists(small_rat, min_size=12, max_size=20),
+)
+def test_inverse_of_dense_element_matches_oracle(m, coeffs):
+    x = _element(m, coeffs[: euler_phi(m)])
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    assert inv == _oracle_inverse(x)
+    assert (x * inv).is_one()
+
+
+def test_inverse_does_not_eliminate(monkeypatch):
+    import qhopf.linalg
+
+    def refuse(*args):
+        raise AssertionError("inverse() called linalg.solve")
+
+    monkeypatch.setattr(qhopf.linalg, "solve", refuse)
+    for m in INVERSE_CONDUCTORS:
+        phi = euler_phi(m)
+        dense = Cyclotomic(m, {e: Fraction(e + 2, e + 1) for e in range(phi)})
+        for x in (root_of_unity(m, m - 1) * Fraction(3, 2), dense):
+            assert (x * x.inverse()).is_one()
+
+
+@pytest.mark.parametrize("m", INVERSE_CONDUCTORS)
+def test_inverse_of_subfield_element_matches_oracle(m):
+    # integer elements z^a * (c0 + c1 z^s + c2 z^(2s)) of a proper subfield
+    # leave integer entries of Phi_m that no Euclidean division step touches
+    for s in (d for d in range(2, m) if m % d == 0):
+        for a in range(3):
+            for cs in [(1, 1, 0), (1, -1, 0), (1, 1, 1), (2, -5, 0), (-5, -5, -5)]:
+                terms = {}
+                for t, c in enumerate(cs):
+                    e = (a + t * s) % m
+                    terms[e] = terms.get(e, 0) + c
+                x = Cyclotomic.from_terms(m, terms)
+                if x.is_zero():
+                    continue
+                inv = x.inverse()
+                assert inv == _oracle_inverse(x), (s, a, cs)
+                assert (x * inv).is_one()
