@@ -30,7 +30,6 @@ from .twist import (
     twisted_coproduct,
 )
 from .axioms import (
-    CheckResult,
     check_antipode,
     check_basic,
     check_counit,
@@ -50,7 +49,6 @@ from .bqrep import (
     DegreeOneModule,
     check_bq_relations,
     check_bq_semisimple,
-    nonisomorphism_invariant,
     operator_module,
     spectrum_eta_xi_inv,
     vq_module,

@@ -19,14 +19,15 @@ where the exchange relation composes xi first ("xi eta" read left to right).
 The closed-form module puts the single Q^(-1) correction of xi at the weight
 i = 1 column: that position is forced by the coproduct formula and is the
 only placement satisfying the exchange relation.
+
+``check_bq_relations`` and ``check_bq_semisimple`` return ``None`` when every
+identity holds and otherwise the witness string of the first failure.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .axioms import CheckResult
 from .cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero as cy_zero
 from .linalg import (
     identity_matrix,
@@ -37,14 +38,13 @@ from .linalg import (
     scalar_matrix,
     sparse_rank,
 )
-from .twist import QuasiHopf, build_quasi_hopf
+from .twist import QuasiHopf
 
 __all__ = [
     "DegreeOneModule",
     "check_bq_relations",
     "check_bq_semisimple",
     "corner_diag",
-    "nonisomorphism_invariant",
     "operator_module",
     "spectrum_eta_xi_inv",
     "structure_invariant",
@@ -175,52 +175,41 @@ def corner_diag(n: int, Q: Cyclotomic, r: int) -> list:
     ]
 
 
-def check_bq_relations(D: DegreeOneModule) -> CheckResult:
+def check_bq_relations(D: DegreeOneModule) -> str | None:
     """All six defining relations of the operator algebra, as exact matrix
     identities, before and after the normalizing rescaling."""
-    started = time.perf_counter()
     n = D.n
     Q = D.Q
-    witness = None
     ident = identity_matrix(n)
-
-    def fails(tag, lhs, rhs):
-        return None if mat_eq(lhs, rhs) else tag
-
-    witness = fails("a^n != 1", mat_pow(D.a_mat, n), ident)
-    if witness is None:
-        witness = fails("xi^n != Q^(-1)", mat_pow(D.xi_mat, n), scalar_matrix(n, Q.inverse()))
-    if witness is None:
-        witness = fails("eta^n != Q", mat_pow(D.eta_mat, n), scalar_matrix(n, Q))
-    if witness is None:
-        lhs = mat_mul(D.xi_mat, D.a_mat)
-        rhs = [[v * Q for v in row] for row in mat_mul(D.a_mat, D.xi_mat)]
-        witness = fails("xi a != Q a xi", lhs, rhs)
-    if witness is None:
-        lhs = mat_mul(D.eta_mat, D.a_mat)
-        rhs = [[v * Q for v in row] for row in mat_mul(D.a_mat, D.eta_mat)]
-        witness = fails("eta a != Q a eta", lhs, rhs)
-    if witness is None:
-        # exchange relation, composing xi first
-        e0 = corner_diag(n, Q, 0)
-        em1 = corner_diag(n, Q, -1)
-        factor = mat_mul(mat_inverse(e0), em1)
-        lhs = mat_mul(D.eta_mat, D.xi_mat)
-        rhs = mat_mul(factor, mat_mul(D.xi_mat, D.eta_mat))
-        witness = fails("eta o xi != E_0^(-1) E_(-1) (xi o eta)", lhs, rhs)
-    if witness is None:
-        # the same relation as a diagonal comparison
-        ratio = mat_mul(mat_mul(D.eta_mat, D.xi_mat), mat_inverse(mat_mul(D.xi_mat, D.eta_mat)))
-        e0 = corner_diag(n, Q, 0)
-        em1 = corner_diag(n, Q, -1)
-        witness = fails("(eta xi)(xi eta)^(-1) != E_0^(-1) E_(-1)", ratio, mat_mul(mat_inverse(e0), em1))
-    if witness is None:
-        rescaled, _ = D.rescaled()
-        if not mat_eq(mat_pow(rescaled.xi_mat, n), ident):
-            witness = "rescaled xi^n != 1"
-        elif not mat_eq(mat_pow(rescaled.eta_mat, n), ident):
-            witness = "rescaled eta^n != 1"
-    return CheckResult.timed("bq_relations", started, witness)
+    if not mat_eq(mat_pow(D.a_mat, n), ident):
+        return "a^n != 1"
+    if not mat_eq(mat_pow(D.xi_mat, n), scalar_matrix(n, Q.inverse())):
+        return "xi^n != Q^(-1)"
+    if not mat_eq(mat_pow(D.eta_mat, n), scalar_matrix(n, Q)):
+        return "eta^n != Q"
+    lhs = mat_mul(D.xi_mat, D.a_mat)
+    rhs = [[v * Q for v in row] for row in mat_mul(D.a_mat, D.xi_mat)]
+    if not mat_eq(lhs, rhs):
+        return "xi a != Q a xi"
+    lhs = mat_mul(D.eta_mat, D.a_mat)
+    rhs = [[v * Q for v in row] for row in mat_mul(D.a_mat, D.eta_mat)]
+    if not mat_eq(lhs, rhs):
+        return "eta a != Q a eta"
+    # exchange relation, composing xi first
+    factor = mat_mul(mat_inverse(corner_diag(n, Q, 0)), corner_diag(n, Q, -1))
+    eta_xi = mat_mul(D.eta_mat, D.xi_mat)
+    xi_eta = mat_mul(D.xi_mat, D.eta_mat)
+    if not mat_eq(eta_xi, mat_mul(factor, xi_eta)):
+        return "eta o xi != E_0^(-1) E_(-1) (xi o eta)"
+    # the same relation as a diagonal comparison
+    if not mat_eq(mat_mul(eta_xi, mat_inverse(xi_eta)), factor):
+        return "(eta xi)(xi eta)^(-1) != E_0^(-1) E_(-1)"
+    rescaled, _ = D.rescaled()
+    if not mat_eq(mat_pow(rescaled.xi_mat, n), ident):
+        return "rescaled xi^n != 1"
+    if not mat_eq(mat_pow(rescaled.eta_mat, n), ident):
+        return "rescaled eta^n != 1"
+    return None
 
 
 def weighted_spectrum(D: DegreeOneModule) -> list:
@@ -266,18 +255,16 @@ def _block_equations(mats):
     return rows
 
 
-def check_bq_semisimple(n: int, Q_exponent: int = 1) -> CheckResult:
+def check_bq_semisimple(n: int, Q_exponent: int = 1) -> str | None:
     """For Q = zeta_n^{Q_exponent} primitive, the n degree-one modules over the
     n-th roots q of Q are irreducible, pairwise distinct, and the products
     a^i xi^j eta^k span an algebra of dimension exactly n^3: the operator
     algebra is the full block sum of matrix algebras at desk scale.
     """
-    started = time.perf_counter()
     from math import gcd
 
     if gcd(Q_exponent, n) != 1:
         raise ValueError(f"zeta_{n}^{Q_exponent} is not primitive of order {n}")
-    witness = None
     exponents = [(Q_exponent % n) + k * n for k in range(n)]
     modules = [vq_module(n, e) for e in exponents]
 
@@ -286,38 +273,34 @@ def check_bq_semisimple(n: int, Q_exponent: int = 1) -> CheckResult:
         rows = _block_equations([D.a_mat, D.xi_mat, D.eta_mat])
         dim = n * n - sparse_rank(rows)
         if dim != 1:
-            witness = f"commutant of the module at q-exponent {D.q_exponent} has dimension {dim}"
-            break
+            return f"commutant of the module at q-exponent {D.q_exponent} has dimension {dim}"
 
     # (ii) weight-labelled spectra of eta xi^(-1) are pairwise distinct
-    if witness is None:
-        seen = []
-        for D in modules:
-            diag = weighted_spectrum(D)
-            key = tuple(v.sort_key(n * n) for v in diag)
-            if key in seen:
-                witness = f"coincident spectra at q-exponent {D.q_exponent}"
-                break
-            seen.append(key)
+    seen = []
+    for D in modules:
+        diag = weighted_spectrum(D)
+        key = tuple(v.sort_key(n * n) for v in diag)
+        if key in seen:
+            return f"coincident spectra at q-exponent {D.q_exponent}"
+        seen.append(key)
 
     # (iii) the n^3 products a^i xi^j eta^k have full rank over the block sum
-    if witness is None:
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    row = {}
-                    for b, D in enumerate(modules):
-                        mat = mat_mul(mat_pow(D.a_mat, i), mat_mul(mat_pow(D.xi_mat, j), mat_pow(D.eta_mat, k)))
-                        for r in range(n):
-                            for c in range(n):
-                                if not mat[r][c].is_zero():
-                                    row[b * n * n + r * n + c] = mat[r][c]
-                    rows.append(row)
-        rank = sparse_rank(rows)
-        if rank != n**3:
-            witness = f"span of monomial operators has rank {rank}, expected {n**3}"
-    return CheckResult.timed(f"bq_semisimple[Q-exp {Q_exponent % n}]", started, witness)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = {}
+                for b, D in enumerate(modules):
+                    mat = mat_mul(mat_pow(D.a_mat, i), mat_mul(mat_pow(D.xi_mat, j), mat_pow(D.eta_mat, k)))
+                    for r in range(n):
+                        for c in range(n):
+                            if not mat[r][c].is_zero():
+                                row[b * n * n + r * n + c] = mat[r][c]
+                rows.append(row)
+    rank = sparse_rank(rows)
+    if rank != n**3:
+        return f"span of monomial operators has rank {rank}, expected {n**3}"
+    return None
 
 
 def structure_invariant(S: QuasiHopf):
@@ -331,18 +314,3 @@ def structure_invariant(S: QuasiHopf):
     spectrum = weighted_spectrum(operator_module(S))
     m = t.m
     return (inv.sort_key(m), tuple(v.sort_key(m) for v in spectrum))
-
-
-def nonisomorphism_invariant(n: int, e1: int, e2: int, structures=None) -> CheckResult:
-    """Compare the invariant pairs of the structures at exponents e1, e2.
-
-    Passing means "distinguished": the pairs differ, so no isomorphism can
-    identify the two structures (both components are isomorphism-invariant).
-    """
-    started = time.perf_counter()
-    if structures is None:
-        structures = (build_quasi_hopf(n, e1), build_quasi_hopf(n, e2))
-    p1 = structure_invariant(structures[0])
-    p2 = structure_invariant(structures[1])
-    witness = None if p1 != p2 else "invariant pairs coincide"
-    return CheckResult.timed(f"distinguish[e={e1},e={e2}]", started, witness)

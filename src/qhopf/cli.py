@@ -5,6 +5,10 @@ Builds the Hopf algebra and its twisted subalgebra for the requested
 Reports are byte-identical across runs with the same configuration and seed;
 per-check wall times are included only on request (they would break that).
 
+Every check in the registry returns ``None`` when its identity holds and
+otherwise the witness string of its first failure; :func:`_run_check` alone
+times a check, names its result and turns an exception into a failed check.
+
 Exit codes: 0 all selected checks passed, 1 at least one check failed,
 2 invalid input.  The environment variable QHF_MAX_N (default 5) caps n to
 guard against accidental infeasible runs.
@@ -17,13 +21,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from . import __version__
 from .algebra import SingularElementError, Tensor, apply_on_factor, invert
 from .axioms import (
-    CheckResult,
     check_antipode,
     check_basic,
     check_counit,
@@ -42,6 +46,7 @@ from .bqrep import (
     vq_module,
 )
 from .cocycle import (
+    ThreeCochain,
     check_cocycle,
     class_invariant,
     cochain_from_bold_tensor,
@@ -86,6 +91,19 @@ class RunConfig:
     timings: bool = False
 
 
+@dataclass
+class CheckResult:
+    """One line of a report; the check passed iff it found no witness."""
+
+    name: str
+    witness: str | None
+    elapsed_ms: float
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+
 def coprime_exponents(n: int) -> list[int]:
     m = n * n
     return [e for e in range(1, m) if gcd(e, m) == 1]
@@ -98,73 +116,51 @@ class BuildContext:
         self.n = n
         self.exponent = exponent
         self.seed = seed
-        self._taft = None
-        self._hopf = None
-        self._struct = None
         self._struct_error = None
-        self._twist = None
-        self._twist_inv = None
-        self._phi_prim = None
 
-    @property
+    @cached_property
     def taft(self) -> TaftAlgebra:
-        if self._taft is None:
-            self._taft = TaftAlgebra(self.n, self.exponent)
-        return self._taft
+        return TaftAlgebra(self.n, self.exponent)
 
-    @property
+    @cached_property
     def hopf(self):
-        if self._hopf is None:
-            self._hopf = taft_hopf(self.n, self.exponent, taft=self.taft)
-        return self._hopf
+        return taft_hopf(self.n, self.exponent, taft=self.taft)
 
-    @property
+    @cached_property
     def struct(self):
         # a structure that cannot be built fails the same way for every
         # check, so the first error is kept and raised again
         if self._struct_error is not None:
             raise self._struct_error
-        if self._struct is None:
-            try:
-                self._struct = build_quasi_hopf(
-                    self.n,
-                    self.exponent,
-                    taft=self.taft,
-                    twist=self.twist,
-                    associator_primitive=self.phi_prim,
-                )
-            except (ConstructionError, SingularElementError) as err:
-                self._struct_error = err
-                raise
-        return self._struct
+        try:
+            return build_quasi_hopf(
+                self.n,
+                self.exponent,
+                taft=self.taft,
+                twist=self.twist,
+                associator_primitive=self.phi_prim,
+            )
+        except (ConstructionError, SingularElementError) as err:
+            self._struct_error = err
+            raise
 
-    @property
+    @cached_property
     def twist(self):
-        if self._twist is None:
-            self._twist = build_twist(self.taft)
-        return self._twist
+        return build_twist(self.taft)
 
-    @property
+    @cached_property
     def twist_inv(self):
-        if self._twist_inv is None:
-            self._twist_inv = invert(self.twist)
-        return self._twist_inv
+        return invert(self.twist)
 
-    @property
+    @cached_property
     def phi_prim(self):
-        if self._phi_prim is None:
-            self._phi_prim = coboundary_associator(self.taft, self.twist)
-        return self._phi_prim
+        return coboundary_associator(self.taft, self.twist)
 
     def release(self):
         """Drop the heavy cached objects (results already extracted)."""
-        self._taft = None
-        self._hopf = None
-        self._struct = None
+        for name in ("taft", "hopf", "struct", "twist", "twist_inv", "phi_prim"):
+            self.__dict__.pop(name, None)
         self._struct_error = None
-        self._twist = None
-        self._twist_inv = None
-        self._phi_prim = None
 
 
 def _on_monomial(t: TaftAlgebra, fmap, idx: int, rank: int):
@@ -177,91 +173,68 @@ def _on_monomial(t: TaftAlgebra, fmap, idx: int, rank: int):
 # -- structure-scope checks ------------------------------------------------------
 
 
-def _chk_taft_dimension(ctx: BuildContext) -> CheckResult:
-    started = time.perf_counter()
+def _chk_taft_dimension(ctx: BuildContext) -> str | None:
     t = ctx.taft
-    witness = None
     if t.H.dim != ctx.n**4:
-        witness = f"dim H = {t.H.dim}, expected n^4 = {ctx.n ** 4}"
-    elif t.A.dim != ctx.n**3:
-        witness = f"dim A = {t.A.dim}, expected n^3 = {ctx.n ** 3}"
-    return CheckResult.timed("taft_dimension", started, witness)
+        return f"dim H = {t.H.dim}, expected n^4 = {ctx.n ** 4}"
+    if t.A.dim != ctx.n**3:
+        return f"dim A = {t.A.dim}, expected n^3 = {ctx.n ** 3}"
+    return None
 
 
-def _taft_sample_size(n: int, dim: int) -> int:
-    return dim if n <= 3 else 100
+def _chk_taft_coassoc(ctx: BuildContext) -> str | None:
+    sample = ctx.taft.H.dim if ctx.n <= 3 else 100
+    return check_quasi_coassoc(ctx.hopf, sample=sample, seed=ctx.seed)
 
 
-def _chk_taft_coassoc(ctx) -> CheckResult:
-    r = check_quasi_coassoc(
-        ctx.hopf, sample=_taft_sample_size(ctx.n, ctx.taft.H.dim), seed=ctx.seed
-    )
-    return replace(r, name="taft_coassociativity")
-
-
-def _chk_taft_counit(ctx) -> CheckResult:
-    return replace(check_counit(ctx.hopf, seed=ctx.seed), name="taft_counit")
-
-
-def _chk_taft_antipode(ctx) -> CheckResult:
-    return replace(check_antipode(ctx.hopf, seed=ctx.seed), name="taft_antipode")
-
-
-def _chk_twist_identities(ctx) -> CheckResult:
-    started = time.perf_counter()
+def _chk_twist_identities(ctx: BuildContext) -> str | None:
     t = ctx.taft
     J, Jinv = ctx.twist, ctx.twist_inv
     unit2 = t.H_idem.unit_tensor(2)
-    witness = None
     if J * Jinv != unit2 or Jinv * J != unit2:
-        witness = "J J^(-1) is not the unit"
-    elif Jinv != twist_inverse(t):
-        witness = "J^(-1) does not have the componentwise-inverted coefficients"
-    elif invert(Jinv) != J:
-        witness = "double inversion does not return J"
-    else:
-        left = t.from_idem(apply_on_factor(J, t.epsilon_idem_basis, 1, 0))
-        right = t.from_idem(apply_on_factor(J, t.epsilon_idem_basis, 2, 0))
-        if left != t.unit or right != t.unit:
-            witness = "counit contraction of J is not 1"
-    return CheckResult.timed("twist_identities", started, witness)
+        return "J J^(-1) is not the unit"
+    if Jinv != twist_inverse(t):
+        return "J^(-1) does not have the componentwise-inverted coefficients"
+    if invert(Jinv) != J:
+        return "double inversion does not return J"
+    left = t.from_idem(apply_on_factor(J, t.epsilon_idem_basis, 1, 0))
+    right = t.from_idem(apply_on_factor(J, t.epsilon_idem_basis, 2, 0))
+    if left != t.unit or right != t.unit:
+        return "counit contraction of J is not 1"
+    return None
 
 
-def _chk_associator_identity(ctx) -> CheckResult:
-    started = time.perf_counter()
+def _chk_associator_identity(ctx: BuildContext) -> str | None:
     t = ctx.taft
-    witness = None
     phi = ctx.phi_prim
-    if phi != cyclic_associator(t, -1):
-        diff = phi.first_difference(cyclic_associator(t, -1))
-        witness = f"coboundary differs from the l = -1 associator at {diff[0]}"
-    else:
-        try:
-            bold = aggregate_to_bold(t, phi)
-        except ConstructionError as err:
-            witness = f"associator leaves A^(x3): {err}"
-        else:
-            if bold != cyclic_associator_bold(t, -1):
-                witness = "aggregated associator mismatch"
-            elif bold != ctx.struct.frame.associator:
-                witness = "structure associator differs from the literal coboundary"
-    return CheckResult.timed("associator_identity", started, witness)
+    reference = cyclic_associator(t, -1)
+    if phi != reference:
+        diff = phi.first_difference(reference)
+        return f"coboundary differs from the l = -1 associator at {diff[0]}"
+    try:
+        bold = aggregate_to_bold(t, phi)
+    except ConstructionError as err:
+        return f"associator leaves A^(x3): {err}"
+    if bold != cyclic_associator_bold(t, -1):
+        return "aggregated associator mismatch"
+    if bold != ctx.struct.frame.associator:
+        return "structure associator differs from the literal coboundary"
+    return None
 
 
-def _chk_coproduct_x_identity(ctx) -> CheckResult:
-    started = time.perf_counter()
+def _chk_coproduct_x_identity(ctx: BuildContext) -> str | None:
     t = ctx.taft
-    witness = None
     dx = twisted_coproduct(t, t.x, ctx.twist, ctx.twist_inv)
     if not dx.in_span(t.a_indices_in_h):
-        witness = "twisted coproduct of x leaves A (x) A"
-    elif dx != coproduct_x_reference(t):
-        diff = dx.first_difference(coproduct_x_reference(t))
-        witness = f"closed form mismatch at {diff[0]}"
-    return CheckResult.timed("coproduct_x_identity", started, witness)
+        return "twisted coproduct of x leaves A (x) A"
+    reference = coproduct_x_reference(t)
+    if dx != reference:
+        diff = dx.first_difference(reference)
+        return f"closed form mismatch at {diff[0]}"
+    return None
 
 
-def _chk_coproduct_closure(ctx) -> CheckResult:
+def _chk_coproduct_closure(ctx: BuildContext) -> str | None:
     """Every basis monomial of A keeps its twisted coproduct inside A (x) A,
     computed multiplicatively in the ambient algebra from the literal
     coproducts of the generators.
@@ -271,10 +244,8 @@ def _chk_coproduct_closure(ctx) -> CheckResult:
     n <= 3 the sweep is repeated on monomial coordinates with the literal
     sub-basis membership test.
     """
-    started = time.perf_counter()
     t = ctx.taft
     J, Jinv = ctx.twist, ctx.twist_inv
-    witness = None
     dx = J * t.to_idem(t.delta(t.x)) * Jinv
     da = [J * t.to_idem(t.delta(t.monomial(t.n * i, 0))) * Jinv for i in range(t.n)]
     power = t.H_idem.unit_tensor(2)
@@ -285,26 +256,18 @@ def _chk_coproduct_closure(ctx) -> CheckResult:
         try:
             bold_powers.append(aggregate_to_bold(t, power))
         except ConstructionError:
-            witness = f"coproduct of x^{j} leaves A (x) A"
-            break
-    if witness is None:
-        bold_da = []
-        for i in range(t.n):
-            try:
-                bold_da.append(aggregate_to_bold(t, da[i]))
-            except ConstructionError:
-                witness = f"coproduct of a^{i} leaves A (x) A"
-                break
-        if witness is None:
-            for i in range(t.n):
-                for j in range(t.m):
-                    du = bold_da[i] * bold_powers[j]
-                    if du.is_zero():
-                        witness = f"coproduct of a^{i} x^{j} collapsed to zero"
-                        break
-                if witness:
-                    break
-    if witness is None and ctx.n <= 3:
+            return f"coproduct of x^{j} leaves A (x) A"
+    bold_da = []
+    for i in range(t.n):
+        try:
+            bold_da.append(aggregate_to_bold(t, da[i]))
+        except ConstructionError:
+            return f"coproduct of a^{i} leaves A (x) A"
+    for i in range(t.n):
+        for j in range(t.m):
+            if (bold_da[i] * bold_powers[j]).is_zero():
+                return f"coproduct of a^{i} x^{j} collapsed to zero"
+    if ctx.n <= 3:
         span = t.a_indices_in_h
         dxm = t.from_idem(dx)
         dam = [t.from_idem(v) for v in da]
@@ -314,160 +277,126 @@ def _chk_coproduct_closure(ctx) -> CheckResult:
                 power = power * dxm
             for i in range(t.n):
                 if not (dam[i] * power).in_span(span):
-                    witness = f"monomial-basis coproduct of a^{i} x^{j} leaves A (x) A"
-                    break
-            if witness:
-                break
-    return CheckResult.timed("coproduct_closure", started, witness)
+                    return f"monomial-basis coproduct of a^{i} x^{j} leaves A (x) A"
+    return None
 
 
-def _chk_antipode_x_identity(ctx) -> CheckResult:
-    started = time.perf_counter()
+def _chk_antipode_x_identity(ctx: BuildContext) -> str | None:
     t = ctx.taft
-    witness = None
     _, beta = antipode_elements(t, ctx.twist)
     beta_inv = invert(beta)
     sx = twisted_antipode(t, t.x, beta, beta_inv)
     if sx != antipode_x_reference(t):
-        witness = "twisted antipode of x differs from its closed form"
-    elif twisted_antipode(t, t.a, beta, beta_inv) != t.monomial(-t.n, 0):
-        witness = "twisted antipode of a is not a^(-1)"
-    else:
-        for idx in range(ctx.struct.dim):
-            try:
-                ctx.struct.frame.antipode(idx)
-            except ConstructionError as err:
-                witness = str(err)
-                break
-    return CheckResult.timed("antipode_x_identity", started, witness)
+        return "twisted antipode of x differs from its closed form"
+    if twisted_antipode(t, t.a, beta, beta_inv) != t.monomial(-t.n, 0):
+        return "twisted antipode of a is not a^(-1)"
+    for idx in range(ctx.struct.dim):
+        try:
+            ctx.struct.frame.antipode(idx)
+        except ConstructionError as err:
+            return str(err)
+    return None
 
 
-def _chk_distinguished_elements(ctx) -> CheckResult:
-    started = time.perf_counter()
+def _chk_distinguished_elements(ctx: BuildContext) -> str | None:
     t = ctx.taft
-    witness = None
     alpha_j, beta_j = antipode_elements(t, ctx.twist)
     expected_product = Tensor(
         t.H_idem, 1, {(z * t.m,): t.q_power(t.n * z) for z in range(t.m)}
     )
     if alpha_j != alpha_closed_form(t):
-        witness = "alpha_J differs from its closed form"
-    elif beta_j != beta_closed_form(t):
-        witness = "beta_J differs from its closed form"
-    elif alpha_j * beta_j != expected_product:
-        witness = "alpha_J beta_J differs from sum_z q^(nz) 1_z"
-    else:
-        try:
-            invert(alpha_j), invert(beta_j)
-        except Exception as err:  # SingularElementError carries the witness
-            witness = f"distinguished element not invertible: {err}"
-        else:
-            ident = ctx.struct.meta["alpha_identification"]
-            if ident not in ("a", "a^(-1)", "a = a^(-1)"):
-                witness = f"alpha_J beta_J is {ident}"
-    return CheckResult.timed("distinguished_elements", started, witness)
+        return "alpha_J differs from its closed form"
+    if beta_j != beta_closed_form(t):
+        return "beta_J differs from its closed form"
+    if alpha_j * beta_j != expected_product:
+        return "alpha_J beta_J differs from sum_z q^(nz) 1_z"
+    try:
+        invert(alpha_j), invert(beta_j)
+    except Exception as err:  # SingularElementError carries the witness
+        return f"distinguished element not invertible: {err}"
+    ident = ctx.struct.meta["alpha_identification"]
+    if ident not in ("a", "a^(-1)", "a = a^(-1)"):
+        return f"alpha_J beta_J is {ident}"
+    return None
 
 
-def _wrap(name, fn):
-    def run(ctx):
-        r = fn(ctx.struct, seed=ctx.seed) if "seed" in fn.__code__.co_varnames else fn(ctx.struct)
-        return replace(r, name=name)
-
-    return run
-
-
-def _chk_cocycle_condition(ctx) -> CheckResult:
-    started = time.perf_counter()
+def _chk_cocycle_condition(ctx: BuildContext) -> str | None:
     t = ctx.taft
-    witness = None
-    w = cochain_from_bold_tensor(t.n, t.m, ctx.struct.frame.associator)
-    r = check_cocycle(w)
-    if not r.passed:
-        witness = f"associator cochain: {r.witness}"
-    else:
-        for l in range(1, t.n):
-            fam = cyclic_cochain(t.n, t.q, l)
-            r = check_cocycle(fam)
-            if not r.passed:
-                witness = f"family member l={l}: {r.witness}"
-                break
-            if cochain_from_bold_tensor(t.n, t.m, cyclic_associator_bold(t, l)) != fam:
-                witness = f"associator coefficients disagree with the cochain at l={l}"
-                break
-    return CheckResult.timed("cocycle_condition", started, witness)
+    witness = check_cocycle(cochain_from_bold_tensor(t.n, t.m, ctx.struct.frame.associator))
+    if witness is not None:
+        return f"associator cochain: {witness}"
+    for l in range(1, t.n):
+        fam = cyclic_cochain(t.n, t.q, l)
+        witness = check_cocycle(fam)
+        if witness is not None:
+            return f"family member l={l}: {witness}"
+        if cochain_from_bold_tensor(t.n, t.m, cyclic_associator_bold(t, l)) != fam:
+            return f"associator coefficients disagree with the cochain at l={l}"
+    return None
 
 
-def _chk_cocycle_class(ctx) -> CheckResult:
-    started = time.perf_counter()
+def _chk_cocycle_class(ctx: BuildContext) -> str | None:
     t = ctx.taft
-    witness = None
-    w = cochain_from_bold_tensor(t.n, t.m, ctx.struct.frame.associator)
-    inv = class_invariant(w)
+    inv = class_invariant(cochain_from_bold_tensor(t.n, t.m, ctx.struct.frame.associator))
     if inv != t.Q.inverse():
-        witness = f"class invariant of the associator is {inv.render()}, expected Q^(-1)"
-    elif inv == cy_one():
-        witness = "associator class is trivial"
-    else:
-        for l in range(1, t.n):
-            got = class_invariant(cyclic_cochain(t.n, t.q, l))
-            if got != t.Q**l or got == cy_one():
-                witness = f"class invariant at l={l} is {got.render()}"
-                break
-    return CheckResult.timed("cocycle_class", started, witness)
+        return f"class invariant of the associator is {inv.render()}, expected Q^(-1)"
+    if inv == cy_one():
+        return "associator class is trivial"
+    for l in range(1, t.n):
+        got = class_invariant(cyclic_cochain(t.n, t.q, l))
+        if got != t.Q**l or got == cy_one():
+            return f"class invariant at l={l} is {got.render()}"
+    return None
 
 
-def _chk_bq_relations(ctx) -> CheckResult:
-    started = time.perf_counter()
-    witness = None
+def _chk_bq_relations(ctx: BuildContext) -> str | None:
     if ctx.struct.dim != ctx.n**3:
-        return CheckResult.timed("bq_relations", started, f"dimension {ctx.struct.dim} != n^3")
+        return f"dimension {ctx.struct.dim} != n^3"
     D = operator_module(ctx.struct)
-    r = check_bq_relations(D)
-    if not r.passed:
-        witness = r.witness
-    else:
-        closed = vq_module(ctx.n, ctx.exponent)
-        if not (
-            mat_eq(D.a_mat, closed.a_mat)
-            and mat_eq(D.xi_mat, closed.xi_mat)
-            and mat_eq(D.eta_mat, closed.eta_mat)
-        ):
-            witness = "operators differ from the closed-form module"
-    return CheckResult.timed("bq_relations", started, witness)
+    witness = check_bq_relations(D)
+    if witness is not None:
+        return witness
+    closed = vq_module(ctx.n, ctx.exponent)
+    if not (
+        mat_eq(D.a_mat, closed.a_mat)
+        and mat_eq(D.xi_mat, closed.xi_mat)
+        and mat_eq(D.eta_mat, closed.eta_mat)
+    ):
+        return "operators differ from the closed-form module"
+    return None
 
 
-def _chk_bq_spectrum(ctx) -> CheckResult:
-    started = time.perf_counter()
+def _chk_bq_spectrum(ctx: BuildContext) -> str | None:
     t = ctx.taft
-    witness = None
-    D = operator_module(ctx.struct)
-    spectrum = spectrum_eta_xi_inv(D)
+    spectrum = spectrum_eta_xi_inv(operator_module(ctx.struct))
     expected = sorted(
         [t.q] * (t.n - 1) + [t.Q * t.q], key=lambda v: v.sort_key(t.m)
     )
     if spectrum != expected:
-        witness = "spectrum of eta xi^(-1) is not {q x (n-1), Qq x 1}"
-    return CheckResult.timed("bq_spectrum", started, witness)
+        return "spectrum of eta xi^(-1) is not {q x (n-1), Qq x 1}"
+    return None
 
 
+# Library checks are called through their module-level names, so that anything
+# rebinding those names (a tracer, a test) reaches every call.
 STRUCTURE_CHECKS = [
     ("taft_dimension", _chk_taft_dimension),
     ("taft_coassociativity", _chk_taft_coassoc),
-    ("taft_counit", _chk_taft_counit),
-    ("taft_antipode", _chk_taft_antipode),
+    ("taft_counit", lambda ctx: check_counit(ctx.hopf, seed=ctx.seed)),
+    ("taft_antipode", lambda ctx: check_antipode(ctx.hopf, seed=ctx.seed)),
     ("twist_identities", _chk_twist_identities),
     ("associator_identity", _chk_associator_identity),
     ("coproduct_x_identity", _chk_coproduct_x_identity),
     ("coproduct_closure", _chk_coproduct_closure),
     ("antipode_x_identity", _chk_antipode_x_identity),
     ("distinguished_elements", _chk_distinguished_elements),
-    ("quasi_coassociativity", _wrap("quasi_coassociativity", check_quasi_coassoc)),
-    ("pentagon", _wrap("pentagon", check_pentagon)),
-    ("counit", _wrap("counit", check_counit)),
-    ("antipode", _wrap("antipode", check_antipode)),
-    ("basic", _wrap("basic", check_basic)),
-    ("grading", _wrap("grading", check_grading)),
-    ("radical_ideal", _wrap("radical_ideal", check_radical_ideal)),
+    ("quasi_coassociativity", lambda ctx: check_quasi_coassoc(ctx.struct, seed=ctx.seed)),
+    ("pentagon", lambda ctx: check_pentagon(ctx.struct)),
+    ("counit", lambda ctx: check_counit(ctx.struct, seed=ctx.seed)),
+    ("antipode", lambda ctx: check_antipode(ctx.struct, seed=ctx.seed)),
+    ("basic", lambda ctx: check_basic(ctx.struct)),
+    ("grading", lambda ctx: check_grading(ctx.struct)),
+    ("radical_ideal", lambda ctx: check_radical_ideal(ctx.struct)),
     ("cocycle_condition", _chk_cocycle_condition),
     ("cocycle_class", _chk_cocycle_class),
     ("bq_relations", _chk_bq_relations),
@@ -478,8 +407,7 @@ STRUCTURE_CHECKS = [
 # -- family-scope checks -----------------------------------------------------------
 
 
-def _fam_route_agreement(contexts, seed) -> list[CheckResult]:
-    started = time.perf_counter()
+def _fam_route_agreement(contexts, seed) -> str | None:
     ctx = contexts[0]
     t = ctx.taft
     if ctx.n <= 3:
@@ -488,68 +416,41 @@ def _fam_route_agreement(contexts, seed) -> list[CheckResult]:
         count, always = 4, [0, 1, t.m]
     else:
         count, always = 2, [1]
-    indices = deterministic_sample(t.A.dim, count, seed, always=always)
-    witness = None
-    for idx in indices:
+    for idx in deterministic_sample(t.A.dim, count, seed, always=always):
         i, j = divmod(idx, t.m)
         literal = twisted_coproduct(t, t.monomial(t.n * i, j), ctx.twist, ctx.twist_inv)
         table = t.embed_sub(_on_monomial(t, ctx.struct.frame.coproduct, idx, 2))
         if literal != table:
-            witness = f"multiplicative route differs from conjugation at a^{i} x^{j}"
-            break
-    return [CheckResult.timed("coproduct_route_agreement", started, witness)]
+            return f"multiplicative route differs from conjugation at a^{i} x^{j}"
+    return None
 
 
-def _fam_cocycle_invariance(contexts, seed, rounds: int = 50) -> list[CheckResult]:
-    started = time.perf_counter()
-    ctx = contexts[0]
-    t = ctx.taft
+def _fam_cocycle_invariance(contexts, seed, rounds: int = 50) -> str | None:
+    t = contexts[0].taft
     base = cyclic_cochain(t.n, t.q, -1)
     base_inv = class_invariant(base)
-    witness = None
     for k in range(rounds):
         db = random_coboundary(t.n, seed + k)
-        if not check_cocycle(db).passed:
-            witness = f"coboundary at seed {seed + k} fails the cocycle condition"
-            break
+        if check_cocycle(db) is not None:
+            return f"coboundary at seed {seed + k} fails the cocycle condition"
         if class_invariant(db) != cy_one():
-            witness = f"coboundary at seed {seed + k} has nontrivial invariant"
-            break
+            return f"coboundary at seed {seed + k} has nontrivial invariant"
         if class_invariant(base * db) != base_inv:
-            witness = f"invariant moved under the coboundary at seed {seed + k}"
-            break
-    return [CheckResult.timed("cocycle_invariance", started, witness)]
+            return f"invariant moved under the coboundary at seed {seed + k}"
+    return None
 
 
-def _fam_bq_semisimple(contexts, seed) -> list[CheckResult]:
-    n = contexts[0].n
-    return [check_bq_semisimple(n, tq) for tq in range(1, n) if gcd(tq, n) == 1]
+def _fam_distinguish_pairs(contexts, seed) -> str | None:
+    # the runner stores each structure's invariant before releasing it
+    for i, first in enumerate(contexts):
+        for second in contexts[i + 1 :]:
+            if first.invariant == second.invariant:
+                return f"exponents {first.exponent} and {second.exponent} are not distinguished"
+    return None
 
 
-def _fam_distinguish_pairs(contexts, seed) -> list[CheckResult]:
-    started = time.perf_counter()
-    witness = None
-    invariants = [
-        (ctx.exponent, getattr(ctx, "invariant", None) or structure_invariant(ctx.struct))
-        for ctx in contexts
-    ]
-    for i in range(len(invariants)):
-        for j in range(i + 1, len(invariants)):
-            if invariants[i][1] == invariants[j][1]:
-                witness = (
-                    f"exponents {invariants[i][0]} and {invariants[j][0]} "
-                    "are not distinguished"
-                )
-                break
-        if witness:
-            break
-    return [CheckResult.timed("distinguish_pairs", started, witness)]
-
-
-def _fam_negative_controls(contexts, seed) -> list[CheckResult]:
-    started = time.perf_counter()
+def _fam_negative_controls(contexts, seed) -> str | None:
     ctx = contexts[0]
-    witness = None
     s = ctx.struct
     bad_assoc = corrupted_associator(s)
     bad_alpha = corrupted_alpha(s)
@@ -561,31 +462,25 @@ def _fam_negative_controls(contexts, seed) -> list[CheckResult]:
         ("counit on dropped coproduct term", check_counit(bad_cop)),
         ("quasi-coassociativity on dropped coproduct term", check_quasi_coassoc(bad_cop)),
     ]
-    for tag, result in expectations:
-        if result.passed:
-            witness = f"{tag}: corrupted structure passed"
-            break
-        if not result.witness:
-            witness = f"{tag}: failure carries no witness"
-            break
-    if witness is None:
-        t = ctx.taft
-        w = cyclic_cochain(t.n, t.q, 1)
-        values = dict(w.values)
-        key = (1, 1, 1)
-        values[key] = values[key] * t.q
-        from .cocycle import ThreeCochain
-
-        r = check_cocycle(ThreeCochain(t.n, values))
-        if r.passed or not r.witness:
-            witness = "corrupted cochain not rejected with a witness"
-    return [CheckResult.timed("negative_controls", started, witness)]
+    for tag, witness in expectations:
+        if witness is None:
+            return f"{tag}: corrupted structure passed"
+        if not witness:
+            return f"{tag}: failure carries no witness"
+    t = ctx.taft
+    values = dict(cyclic_cochain(t.n, t.q, 1).values)
+    values[(1, 1, 1)] = values[(1, 1, 1)] * t.q
+    if not check_cocycle(ThreeCochain(t.n, values)):
+        return "corrupted cochain not rejected with a witness"
+    return None
 
 
+# bq_semisimple takes (n, Q-exponent) and the runner calls it once for every
+# primitive Q-exponent; every other family check takes (contexts, seed)
 FAMILY_CHECKS = [
     ("coproduct_route_agreement", _fam_route_agreement),
     ("cocycle_invariance", _fam_cocycle_invariance),
-    ("bq_semisimple", _fam_bq_semisimple),
+    ("bq_semisimple", lambda n, k: check_bq_semisimple(n, k)),
     ("distinguish_pairs", _fam_distinguish_pairs),
     ("negative_controls", _fam_negative_controls),
 ]
@@ -596,25 +491,27 @@ ALL_CHECK_NAMES = [name for name, _ in STRUCTURE_CHECKS] + [name for name, _ in 
 # -- suite driver -------------------------------------------------------------------
 
 
+def _run_check(name: str, check, *args) -> CheckResult:
+    """Time one check and name its result.  An exception (a structure that
+    cannot be built, say) becomes a failed check."""
+    started = time.perf_counter()
+    try:
+        witness = check(*args)
+    except Exception as err:  # construction failures surface as failed checks
+        witness = f"construction failure: {err}"
+    return CheckResult(name, witness, (time.perf_counter() - started) * 1000.0)
+
+
 def run_suite(config: RunConfig):
     """Run the selected checks; returns (report dict, exit code)."""
     suite_started = time.perf_counter()
     selected = set(config.checks)
     contexts = [BuildContext(config.n, e, config.seed) for e in sorted(config.q_exponents)]
+    all_results = []
     results = []
-    passed = failed = 0
     for pos, ctx in enumerate(contexts):
-        checks = []
-        for name, fn in STRUCTURE_CHECKS:
-            if name not in selected:
-                continue
-            try:
-                r = fn(ctx)
-            except Exception as err:  # construction failures surface as failed checks
-                r = CheckResult(name, False, f"construction failure: {err}")
-            checks.append(r)
-            passed += r.passed
-            failed += not r.passed
+        checks = [_run_check(name, fn, ctx) for name, fn in STRUCTURE_CHECKS if name in selected]
+        all_results += checks
         entry = {
             "n": ctx.n,
             "q_exponent": ctx.exponent,
@@ -643,15 +540,18 @@ def run_suite(config: RunConfig):
     for name, fn in FAMILY_CHECKS:
         if name not in selected:
             continue
-        try:
-            rs = fn(contexts, config.seed)
-        except Exception as err:
-            rs = [CheckResult(name, False, f"construction failure: {err}")]
-        for r in rs:
-            family.append(_serialize(r, config.timings))
-            passed += r.passed
-            failed += not r.passed
+        if name == "bq_semisimple":
+            n = config.n
+            family += [
+                _run_check(f"bq_semisimple[Q-exp {k}]", fn, n, k)
+                for k in range(1, n)
+                if gcd(k, n) == 1
+            ]
+        else:
+            family.append(_run_check(name, fn, contexts, config.seed))
+    all_results += family
 
+    failed = sum(1 for r in all_results if not r.passed)
     report = {
         "config": {
             "n": config.n,
@@ -660,9 +560,9 @@ def run_suite(config: RunConfig):
             "seed": config.seed,
         },
         "structures": results,
-        "family_checks": family,
+        "family_checks": [_serialize(r, config.timings) for r in family],
         "summary": {
-            "passed": passed,
+            "passed": len(all_results) - failed,
             "failed": failed,
             "structures": len(contexts),
         },

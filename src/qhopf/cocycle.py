@@ -12,15 +12,17 @@ checked exhaustively over all n^4 quadruples.  The class detector
 is invariant under multiplication by any coboundary (the product telescopes),
 so a value != 1 certifies a nontrivial cohomology class without searching the
 (infeasible) space of all coboundaries.
+
+``check_cocycle`` returns ``None`` when the cochain is a normalized cocycle and
+otherwise the witness string of its first failure: normalization first, then
+the quadruples in lexicographic order.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
-from .axioms import CheckResult
 from .cyclotomic import Cyclotomic, one as cy_one, root_of_unity
 
 __all__ = [
@@ -89,46 +91,33 @@ def cochain_from_bold_tensor(n: int, m: int, tensor) -> ThreeCochain:
     return ThreeCochain(n, values)
 
 
-def check_cocycle(c: ThreeCochain) -> CheckResult:
+def check_cocycle(c: ThreeCochain) -> str | None:
     """Exhaustive cocycle condition over n^4 quadruples, plus normalization."""
-    started = time.perf_counter()
     n = c.n
-    witness = None
     for i in range(n):
-        if witness:
-            break
         for j in range(n):
             if not (c(0, i, j).is_one() and c(i, 0, j).is_one() and c(i, j, 0).is_one()):
-                witness = f"normalization broken near ({i},{j})"
-                break
-    if witness is None:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        lhs = c(j, k, l) * c(i, j + k, l) * c(i, j, k)
-                        rhs = c(i + j, k, l) * c(i, j, k + l)
-                        if lhs != rhs:
-                            witness = (
-                                f"cocycle condition fails at ({i},{j},{k},{l}): "
-                                f"{lhs.render()} vs {rhs.render()}"
-                            )
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    return CheckResult.timed("cocycle_condition", started, witness)
+                return f"normalization broken near ({i},{j})"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    lhs = c(j, k, l) * c(i, j + k, l) * c(i, j, k)
+                    rhs = c(i + j, k, l) * c(i, j, k + l)
+                    if lhs != rhs:
+                        return (
+                            f"cocycle condition fails at ({i},{j},{k},{l}): "
+                            f"{lhs.render()} vs {rhs.render()}"
+                        )
+    return None
 
 
 def class_invariant(c: ThreeCochain) -> Cyclotomic:
     """prod_j c(1, j, 1); equal to 1 exactly on the classes of coboundaries
     (among cocycles of this shape its value on the l-family is Q^l)."""
-    result = check_cocycle(c)
-    if not result.passed:
-        raise ValueError(f"class invariant needs a cocycle: {result.witness}")
+    witness = check_cocycle(c)
+    if witness is not None:
+        raise ValueError(f"class invariant needs a cocycle: {witness}")
     acc = cy_one()
     for j in range(c.n):
         acc = acc * c(1, j, 1)

@@ -162,9 +162,13 @@ def _euclid_inverse(coeffs: dict, m: int) -> dict[int, Fraction]:
 
 
 def _norm_val(v):
-    if v.__class__ is Fraction and v._denominator == 1:
-        return v._numerator
-    return v
+    # exact rationals only: a float coefficient would pass every later check
+    cls = v.__class__
+    if cls is int:
+        return v
+    if cls is Fraction:
+        return v._numerator if v._denominator == 1 else v
+    raise TypeError(f"coefficient {v!r} is not an int or a Fraction")
 
 
 class Cyclotomic:

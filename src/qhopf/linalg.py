@@ -16,7 +16,6 @@ __all__ = [
     "mat_inverse",
     "mat_mul",
     "mat_pow",
-    "nullspace_dimension",
     "scalar_matrix",
     "solve",
     "sparse_rank",
@@ -111,7 +110,3 @@ def sparse_rank(rows: list[dict[int, Cyclotomic]]) -> int:
                 pivots[col] = {c: v * inv for c, v in r.items()}
                 break
     return len(pivots)
-
-
-def nullspace_dimension(rows: list[dict[int, Cyclotomic]], ncols: int) -> int:
-    return ncols - sparse_rank(rows)

@@ -345,7 +345,6 @@ def taft_hopf(n: int, exponent: int = 1, taft: TaftAlgebra | None = None) -> Qua
             alpha=t.unit,
             beta=t.unit,
         ),
-        meta={"kind": "hopf"},
     )
 
 
@@ -451,12 +450,5 @@ def build_quasi_hopf(
         label=f"A(n={n}, e={t.exponent})",
         taft=t,
         frame=frame,
-        meta={
-            "kind": "twisted-subalgebra",
-            "alpha_identification": alpha_name,
-            "twist": J,
-            "twist_inverse": Jinv,
-            "alpha_J": alpha_j,
-            "beta_J": beta_j,
-        },
+        meta={"alpha_identification": alpha_name},
     )

@@ -19,14 +19,14 @@ from qhopf.twist import cyclic_associator_bold
 
 def test_constant_cochain_is_trivial_cocycle():
     c = ThreeCochain(3, {(i, j, k): cy_one() for i in range(3) for j in range(3) for k in range(3)})
-    assert check_cocycle(c).passed
+    assert check_cocycle(c) is None
     assert class_invariant(c) == cy_one()
 
 
 @pytest.mark.parametrize("n,l", [(2, 1), (3, 1), (3, 2), (4, 1), (5, 3)])
 def test_cyclic_cochain_is_cocycle(n, l):
     q = root_of_unity(n * n, 1)
-    assert check_cocycle(cyclic_cochain(n, q, l)).passed
+    assert check_cocycle(cyclic_cochain(n, q, l)) is None
 
 
 def test_cochain_values():
@@ -68,16 +68,14 @@ def test_corrupted_cochain_fails_with_witness():
     bad_values = dict(w.values)
     bad_values[(1, 2, 2)] = bad_values[(1, 2, 2)] * q
     bad = ThreeCochain(3, bad_values)
-    result = check_cocycle(bad)
-    assert not result.passed
-    assert "fails at" in result.witness
+    assert "fails at" in check_cocycle(bad)
 
 
 @settings(deadline=None, max_examples=25)
 @given(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 10_000))
 def test_coboundaries_are_trivial_cocycles(n, seed):
     db = random_coboundary(n, seed)
-    assert check_cocycle(db).passed
+    assert check_cocycle(db) is None
     assert class_invariant(db) == cy_one()
 
 

@@ -98,6 +98,20 @@ def test_division_by_zero_raises():
         rational(1) / zero(4)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Cyclotomic(25, {0: 0.2}),
+        lambda: Cyclotomic.from_terms(25, {3: 0.5}),
+        lambda: Cyclotomic(9, {0: 1.0}),
+    ],
+    ids=["init-0.2", "from_terms-0.5", "init-1.0"],
+)
+def test_float_coefficients_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_is_zero_examples():
     assert zero().is_zero()
     assert (root_of_unity(4, 1) + root_of_unity(4, 3)).is_zero()
