@@ -24,7 +24,6 @@ from .twist import (
     cyclic_associator,
     cyclic_associator_bold,
     taft_hopf,
-    twist_coefficient,
     twist_inverse,
     twisted_antipode,
     twisted_coproduct,

@@ -285,13 +285,17 @@ def check_bq_semisimple(n: int, Q_exponent: int = 1) -> str | None:
         seen.append(key)
 
     # (iii) the n^3 products a^i xi^j eta^k have full rank over the block sum
+    powers = [
+        [[mat_pow(mat, e) for e in range(n)] for mat in (D.a_mat, D.xi_mat, D.eta_mat)]
+        for D in modules
+    ]
     rows = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 row = {}
-                for b, D in enumerate(modules):
-                    mat = mat_mul(mat_pow(D.a_mat, i), mat_mul(mat_pow(D.xi_mat, j), mat_pow(D.eta_mat, k)))
+                for b, (a_pows, xi_pows, eta_pows) in enumerate(powers):
+                    mat = mat_mul(a_pows[i], mat_mul(xi_pows[j], eta_pows[k]))
                     for r in range(n):
                         for c in range(n):
                             if not mat[r][c].is_zero():

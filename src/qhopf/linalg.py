@@ -36,11 +36,12 @@ def mat_mul(a, b):
     for i in range(n):
         row = []
         for j in range(m):
-            acc = zero()
+            acc = None
             for t in range(k):
                 if a[i][t] and b[t][j]:
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
+                    p = a[i][t] * b[t][j]
+                    acc = p if acc is None else acc + p
+            row.append(zero() if acc is None else acc)
         out.append(row)
     return out
 

@@ -45,7 +45,6 @@ class TaftAlgebra:
 
         self._q_pows = [root_of_unity(m, (exponent * k) % m) for k in range(m)]
         self._inv_m = Fraction(1, m)
-        self._inv_n = Fraction(1, n)
 
         self.H = self._monomial_descriptor()
         self.H_idem = self._idempotent_descriptor()
@@ -338,19 +337,6 @@ class TaftAlgebra:
             lambda idx: [((idx // self.m) * self.n * self.m + idx % self.m, cy_one())],
         )
 
-    def project_to_sub(self, u: Tensor) -> Tensor:
-        """Rewrite an H-element supported on A-monomials in A coordinates."""
-        if not u.in_span(self.a_indices_in_h):
-            bad = next(k for k in u.terms if any(i not in self.a_indices_in_h for i in k))
-            raise ValueError(f"element leaves the subalgebra at {bad}")
-        n, m = self.n, self.m
-
-        def slot(idx: int):
-            t, j = divmod(idx, m)
-            return [((t // n) * m + j, cy_one())]
-
-        return _convert(u, self.A, slot)
-
     # -- idempotent-basis structure maps ------------------------------------------
 
     def delta_idem_basis(self, idx: int) -> Tensor:
@@ -374,19 +360,29 @@ class TaftAlgebra:
         )
 
     def epsilon_idem_basis(self, idx: int) -> Cyclotomic:
-        """Counit on the idempotent basis, evaluated through monomial coordinates."""
+        """Counit on the idempotent basis, eps(1_z x^j) = eps(1_z) eps(x^j),
+        with eps(1_z) evaluated through monomial coordinates."""
         hit = self._epsilon_idem_memo.get(idx)
         if hit is None:
-            hit = self.epsilon(self.from_idem(self.H_idem.basis_tensor((idx,))))
+            z, j = divmod(idx, self.m)
+            if j:
+                hit = self.epsilon_idem_basis(z * self.m) * self.epsilon_basis(j)
+            else:
+                hit = self.epsilon(self.from_idem(self.H_idem.basis_tensor((idx,))))
             self._epsilon_idem_memo[idx] = hit
         return hit
 
     def antipode_idem_basis(self, idx: int) -> Tensor:
-        """Antipode on the idempotent basis, evaluated through monomial coordinates."""
+        """Antipode on the idempotent basis, S(1_z x^j) = S(x^j) S(1_z), with
+        S(x^j) and S(1_z) evaluated through monomial coordinates."""
         hit = self._antipode_idem_memo.get(idx)
         if hit is None:
-            mono = self.from_idem(self.H_idem.basis_tensor((idx,)))
-            hit = self.to_idem(self.antipode(mono))
+            z, j = divmod(idx, self.m)
+            if j:
+                hit = self.to_idem(self.antipode_basis(j)) * self.antipode_idem_basis(z * self.m)
+            else:
+                mono = self.from_idem(self.H_idem.basis_tensor((idx,)))
+                hit = self.to_idem(self.antipode(mono))
             self._antipode_idem_memo[idx] = hit
         return hit
 

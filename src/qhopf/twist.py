@@ -10,6 +10,13 @@ and forming the coboundary associator lands everything needed on the
 subalgebra A = <a, x>, a = g^n, which this module assembles into a
 self-contained n^3-dimensional quasi-Hopf structure.
 
+J is diagonal on the primitive idempotents 1_z, so the construction runs in
+the idempotent coordinates of H.  There A is the part whose coefficients are
+constant on residue classes z mod n, which :func:`aggregate_to_bold` rewrites
+over the aggregated idempotents 1_s = sum_i 1_{s+ni}.  The monomial-coordinate
+maps :func:`twisted_coproduct` and :func:`twisted_antipode` serve the
+closed-form checks, dumps and tests.
+
 Closed forms for the twisted coproduct of x, the twisted antipode of x, the
 associator and the distinguished elements are provided as *references* to be
 compared against; construction always follows the literal twist formulas, so
@@ -23,7 +30,7 @@ from functools import cache
 from typing import Callable
 
 from .algebra import AlgebraDescriptor, Tensor, apply_on_factor, invert
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, one as cy_one
 from .taft import TaftAlgebra
 
 __all__ = [
@@ -42,7 +49,6 @@ __all__ = [
     "cyclic_associator",
     "cyclic_associator_bold",
     "taft_hopf",
-    "twist_coefficient",
     "twist_exponent",
     "twist_inverse",
     "twisted_antipode",
@@ -67,10 +73,6 @@ def twist_exponent(taft: TaftAlgebra, z: int, y: int) -> int:
     z %= m
     y %= m
     return (-z * (y - y % n)) % m
-
-
-def twist_coefficient(taft: TaftAlgebra, z: int, y: int) -> Cyclotomic:
-    return taft.q_power(twist_exponent(taft, z, y))
 
 
 def build_twist(taft: TaftAlgebra) -> Tensor:
@@ -358,16 +360,27 @@ def build_quasi_hopf(
     """The n^3-dimensional quasi-Hopf structure carried by A = <a, x>, in
     the aggregated-idempotent frame.
 
-    Every ingredient is produced by the literal twist computation; membership
-    of the twisted maps in A is enforced here (a failure is a construction
-    error with a witness), while agreement with the closed forms is left to
-    the named verification checks.  ``twist`` and ``associator_primitive``
+    Every ingredient is produced by the literal twist computation on the
+    lift sum_i 1_{s+ni} x^j of each frame basis element 1_s x^j to H, then
+    aggregated onto the frame; an image that leaves A is a construction error
+    carrying the aggregation witness.  Agreement with the closed forms is left
+    to the named verification checks.  ``twist`` and ``associator_primitive``
     accept already-computed copies of the same literal objects.
     """
     t = taft if taft is not None else TaftAlgebra(n, exponent)
     m = t.m
     J = twist if twist is not None else build_twist(t)
     Jinv = invert(J)
+
+    def onto_frame(u: Tensor, message: str) -> Tensor:
+        try:
+            return aggregate_to_bold(t, u)
+        except ConstructionError as err:
+            raise ConstructionError(message, witness=err.witness) from err
+
+    def lift(idx: int) -> Tensor:
+        s, j = divmod(idx, m)
+        return Tensor(t.H_idem, 1, {((s + n * i) * m + j,): cy_one() for i in range(n)})
 
     # associator: literal coboundary, aggregated onto A
     phi_prim = (
@@ -378,62 +391,46 @@ def build_quasi_hopf(
     phi = aggregate_to_bold(t, phi_prim)
     phi_inv = invert(phi)
 
-    # twisted coproduct of x and of the a-powers, by literal conjugation
-    dx_h = twisted_coproduct(t, t.x, J, Jinv)
-    if not dx_h.in_span(t.a_indices_in_h):
-        bad = next(k for k in dx_h.terms if any(i not in t.a_indices_in_h for i in k))
-        raise ConstructionError("twisted coproduct of x leaves A (x) A", witness=bad)
-    da_tables = []
-    for i in range(n):
-        di_h = twisted_coproduct(t, t.monomial(t.n * i, 0), J, Jinv)
-        if not di_h.in_span(t.a_indices_in_h):
-            raise ConstructionError(
-                f"twisted coproduct of a^{i} leaves A (x) A", witness=i
-            )
-        da_tables.append(t.project_to_sub(di_h))
-
-    # the coproduct is an algebra map: Delta(1_s x^b) = Delta(1_s) Delta(x)^b
-    dx_f = t.sub_to_bold(t.project_to_sub(dx_h))
+    # twisted coproduct of x and of each 1_s, by literal conjugation; the
+    # coproduct is an algebra map: Delta(1_s x^b) = Delta(1_s) Delta(x)^b
+    dx_f = onto_frame(
+        J * t.to_idem(t.delta(t.x)) * Jinv, "twisted coproduct of x leaves A (x) A"
+    )
+    d1_f = [
+        onto_frame(
+            J * apply_on_factor(lift(s * m), t.delta_idem_basis, 1, 2) * Jinv,
+            f"twisted coproduct of 1_{s} leaves A (x) A",
+        )
+        for s in range(n)
+    ]
     dx_pows_f = [t.A_bold.unit_tensor(2), dx_f]
-    da_f = []
-    for s in range(n):
-        acc = Tensor(t.A, 2, {})
-        for i in range(n):
-            acc = acc + da_tables[i].scale(t.Q_power(-s * i) * t._inv_n)
-        da_f.append(t.sub_to_bold(acc))
 
     def coproduct_f(idx: int) -> Tensor:
         s, b = divmod(idx, m)
         while len(dx_pows_f) <= b:
             dx_pows_f.append(dx_pows_f[-1] * dx_f)
-        return da_f[s] * dx_pows_f[b]
+        return d1_f[s] * dx_pows_f[b]
 
     # distinguished elements; beta is normalized to 1 and alpha becomes the
     # computed product alpha_J beta_J, whatever grouplike it turns out to be
     alpha_j, beta_j = antipode_elements(t, J)
     beta_j_inv = invert(beta_j)
-    product_mon = t.from_idem(alpha_j * beta_j)
-    if not product_mon.in_span(t.a_indices_in_h):
-        raise ConstructionError("alpha_J beta_J leaves A", witness=None)
-    alpha = t.project_to_sub(product_mon)
-    if alpha == t.sub_monomial(1, 0):
+    alpha = onto_frame(alpha_j * beta_j, "alpha_J beta_J leaves A")
+    if alpha == t.sub_to_bold(t.sub_monomial(1, 0)):
         alpha_name = "a" if n > 2 else "a = a^(-1)"
-    elif alpha == t.sub_monomial(n - 1, 0):
+    elif alpha == t.sub_to_bold(t.sub_monomial(n - 1, 0)):
         alpha_name = "a^(-1)"
     else:
         alpha_name = "neither a nor a^(-1)"
 
     def antipode_f(idx: int) -> Tensor:
-        u = t.embed_sub(t.sub_from_bold(t.A_bold.basis_tensor((idx,))))
-        s_h = twisted_antipode(t, u, beta_j, beta_j_inv)
-        if not s_h.in_span(t.a_indices_in_h):
-            raise ConstructionError(
-                f"twisted antipode leaves A at basis index {idx}", witness=idx
-            )
-        return t.sub_to_bold(t.project_to_sub(s_h))
+        s_h = apply_on_factor(lift(idx), t.antipode_idem_basis, 1, 1)
+        return onto_frame(
+            beta_j * s_h * beta_j_inv, f"twisted antipode leaves A at basis index {idx}"
+        )
 
     def counit_f(idx: int) -> Cyclotomic:
-        return t.epsilon(t.embed_sub(t.sub_from_bold(t.A_bold.basis_tensor((idx,)))))
+        return apply_on_factor(lift(idx), t.epsilon_idem_basis, 1, 0).coefficient(())
 
     frame = Coordinates(
         descriptor=t.A_bold,
@@ -442,7 +439,7 @@ def build_quasi_hopf(
         antipode=cache(antipode_f),
         associator=phi,
         associator_inv=phi_inv,
-        alpha=t.sub_to_bold(alpha),
+        alpha=alpha,
         beta=t.A_bold.unit_tensor(1),
     )
 

@@ -198,6 +198,17 @@ def test_antipode_idem_is_index_negation(t3):
         assert out == t3.H_idem.basis_tensor((((-z) % t3.m) * t3.m,))
 
 
+def test_idem_antipode_and_counit_match_monomial_route(t2, t3):
+    # the idempotent tables use S(1_z x^j) = S(x^j) S(1_z) and
+    # eps(1_z x^j) = eps(1_z) eps(x^j); on every basis element they agree
+    # with the change of coordinates through monomials
+    for t in (t2, t3):
+        for idx in range(t.H_idem.dim):
+            mono = t.from_idem(t.H_idem.basis_tensor((idx,)))
+            assert t.antipode_idem_basis(idx) == t.to_idem(t.antipode(mono))
+            assert t.epsilon_idem_basis(idx) == t.epsilon(mono)
+
+
 def test_subalgebra_closure_exhaustive(t2, t3):
     for t in (t2, t3):
         idx = sorted(t.a_indices_in_h)
@@ -222,8 +233,3 @@ def test_bold_coordinates_roundtrip_and_products(t3):
     u = t3.sub_monomial(1, 2) + t3.sub_monomial(2, 0, t3.Q)
     v = t3.sub_monomial(2, 1)
     assert t3.sub_from_bold(t3.sub_to_bold(u) * t3.sub_to_bold(v)) == u * v
-
-
-def test_project_to_sub_rejects_outside(t2):
-    with pytest.raises(ValueError):
-        t2.project_to_sub(t2.g)

@@ -3,6 +3,7 @@
 import pytest
 
 from qhopf.algebra import Tensor, apply_on_factor, invert
+from qhopf.cli import coprime_exponents
 from qhopf.cyclotomic import one as cy_one, rational
 from qhopf.taft import TaftAlgebra
 from qhopf.twist import (
@@ -19,7 +20,7 @@ from qhopf.twist import (
     cyclic_associator,
     cyclic_associator_bold,
     taft_hopf,
-    twist_coefficient,
+    twist_exponent,
     twist_inverse,
     twisted_antipode,
     twisted_coproduct,
@@ -38,9 +39,9 @@ def t3():
 
 def test_twist_coefficient_values(t2):
     # c(1,3) at n=2: y - y' = 2, so q^(-2) = -1
-    assert twist_coefficient(t2, 1, 3) == rational(-1)
+    assert t2.q_power(twist_exponent(t2, 1, 3)) == rational(-1)
     for y in range(4):
-        assert twist_coefficient(t2, 0, y) == cy_one()
+        assert t2.q_power(twist_exponent(t2, 0, y)) == cy_one()
 
 
 def test_twist_invertible(t2, t3):
@@ -124,6 +125,60 @@ def test_twisted_coproduct_fixes_grouplikes_of_A(t2, t3):
     for t in (t2, t3):
         assert twisted_coproduct(t, t.unit) == t.H.unit_tensor(2)
         assert twisted_coproduct(t, t.a) == t.a.tensor(t.a)
+
+
+def _project_to_sub(t, u):
+    """An element of H^(x r) in monomial coordinates, rewritten over the
+    monomials of A after the literal membership test on g-exponents."""
+    assert u.in_span(t.a_indices_in_h), "element leaves A"
+    n, m = t.n, t.m
+    terms = {
+        tuple((i // m // n) * m + i % m for i in key): c for key, c in u.terms.items()
+    }
+    return Tensor(t.A, u.rank, terms)
+
+
+def _monomial_route(t, u):
+    """An idempotent-coordinate element of H^(x r) taken onto the frame
+    through monomials: membership and projection there, then on to the
+    aggregated idempotents.  The differential oracle for aggregate_to_bold."""
+    return t.sub_to_bold(_project_to_sub(t, t.from_idem(u)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_matches_monomial_route(n):
+    for e in coprime_exponents(n):
+        t = TaftAlgebra(n, e)
+        J = build_twist(t)
+        Jinv = invert(J)
+        s = build_quasi_hopf(n, e, taft=t, twist=J)
+        m = t.m
+        dx = Tensor(t.A_bold, 2, {})
+        for b in range(n):
+            dx = dx + s.frame.coproduct(b * m + 1)
+        assert dx == _monomial_route(t, J * t.to_idem(t.delta(t.x)) * Jinv)
+        for b in range(n):
+            literal = J * t.to_idem(t.delta(t.bold_idempotent(b))) * Jinv
+            assert s.frame.coproduct(b * m) == _monomial_route(t, literal), f"Delta(1_{b})"
+        for idx in range(s.dim):
+            u = t.embed_sub(t.sub_from_bold(t.A_bold.basis_tensor((idx,))))
+            assert s.frame.counit(idx) == t.epsilon(u), f"counit at {idx}"
+        alpha_j, beta_j = antipode_elements(t, J)
+        assert s.frame.alpha == _monomial_route(t, alpha_j * beta_j)
+
+
+def test_build_rejects_twist_that_leaves_A(t2):
+    # one coefficient of J scaled by q: the associator argument stays the
+    # literal one, so the first map to leave A is the twisted coproduct of x
+    m = t2.m
+    J = build_twist(t2)
+    key = (1 * m, 2 * m)
+    bad = Tensor(t2.H_idem, 2, {**J.terms, key: J.terms[key] * t2.q})
+    phi = coboundary_associator(t2, J)
+    with pytest.raises(ConstructionError) as err:
+        build_quasi_hopf(2, 1, taft=t2, twist=bad, associator_primitive=phi)
+    assert str(err.value) == "twisted coproduct of x leaves A (x) A"
+    assert err.value.witness is not None
 
 
 def _frame_on_monomial(t, fmap, idx, rank):
@@ -220,8 +275,8 @@ def test_frame_tables_match_carrier(t3):
     # Delta(a)^i Delta(x)^j, each factor projected from the literal twist
     s = build_quasi_hopf(3)
     t = s.taft
-    da = t.project_to_sub(twisted_coproduct(t, t.a))
-    dx = t.project_to_sub(twisted_coproduct(t, t.x))
+    da = _project_to_sub(t, twisted_coproduct(t, t.a))
+    dx = _project_to_sub(t, twisted_coproduct(t, t.x))
     for idx in [0, 1, t.m, t.m + 2, 2 * t.m + 1]:
         i, j = divmod(idx, t.m)
         carrier = t.A.unit_tensor(2)
