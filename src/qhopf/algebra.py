@@ -9,6 +9,9 @@ Descriptors may declare a join constraint (``join_left``/``join_right``): two
 basis elements multiply to zero unless their join keys agree.  Multiplication
 then hash-joins on these keys, which is what keeps products of idempotent
 -supported elements linear in the number of stored terms instead of quadratic.
+Two elements that both lie on the declared idempotent sub-basis
+(``diag_indices``) skip the join and multiply componentwise over their common
+keys.
 """
 
 from __future__ import annotations
@@ -126,7 +129,14 @@ class Tensor:
         self._check_mate(other)
         d = self.algebra
         acc: dict = {}
-        if d.join_right is not None and d.join_left is not None:
+        if _on_diag(self) and _on_diag(other):
+            # orthogonal idempotents: 1_z 1_w = delta_zw 1_z in every slot
+            vterms = other.terms
+            for key, cu in self.terms.items():
+                cv = vterms.get(key)
+                if cv is not None:
+                    acc[key] = cu * cv
+        elif d.join_right is not None and d.join_left is not None:
             buckets: dict = {}
             jr = d.join_right
             for vkey, cv in other.terms.items():
@@ -257,6 +267,13 @@ def apply_on_factor(u: Tensor, fmap: Callable[[int], object], position: int, out
     return Tensor(u.algebra, u.rank - 1 + out_rank, acc)
 
 
+def _on_diag(u: Tensor) -> bool:
+    """True iff every slot of every term of u lies on the descriptor's
+    idempotent sub-basis (False when it declares none)."""
+    diag = u.algebra.diag_indices
+    return diag is not None and all(all(i in diag for i in key) for key in u.terms)
+
+
 def invert(u: Tensor) -> Tensor:
     """Two-sided inverse of an element supported on the declared idempotent
     sub-basis, by componentwise scalar inversion.
@@ -268,7 +285,7 @@ def invert(u: Tensor) -> Tensor:
     """
     d = u.algebra
     diag = d.diag_indices
-    if diag is None or not all(all(i in diag for i in key) for key in u.terms):
+    if not _on_diag(u):
         raise ValueError(f"invert needs an element of the idempotent sub-basis of {d!r}")
     expected = len(diag) ** u.rank
     if len(u.terms) != expected:

@@ -5,6 +5,14 @@ m-th cyclotomic polynomial, with exact rational coefficients.  The stored
 form is canonical, so equality is literal coefficient equality: there is no
 floating point and no tolerance anywhere in this module.
 
+The m canonical powers zeta_m^k are kept once per conductor in a table whose
+entries carry their exponent k.  ``root_of_unity`` and ``one`` return these
+entries, and products, equality, inverses and powers of two entries are
+exponent arithmetic that returns another entry; the product of entries of
+conductors m1 and m2 is an entry of conductor lcm(m1, m2).  Every other
+element takes the power-basis path, which stays the reference: an entry and an
+untagged element with the same coefficients are equal.
+
 Mixed conductors are handled by embedding both operands into the field of
 conductor lcm(m1, m2) before operating.  Division multiplies by the inverse:
 a rational multiple of a root of unity zeta_m^k, found in a per-conductor
@@ -126,8 +134,8 @@ def _root_table(m: int) -> dict[frozenset, tuple[int, object]]:
     is kept, which reads any rational multiple of either correctly.
     """
     table: dict[frozenset, tuple[int, object]] = {}
-    for k in range(m):
-        c = root_of_unity(m, k)._c
+    for k, root in enumerate(_roots(m)):
+        c = root._c
         low = c[min(c)]
         table.setdefault(_scaled_key(c, low), (k, low))
     return table
@@ -176,10 +184,11 @@ class Cyclotomic:
 
     Coefficients are exact rationals kept sparsely on the power basis; the
     dense vector of length phi(m) is available through :attr:`coeffs`.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share.  ``_k`` is the exponent k of
+    the root-table entry zeta_m^k, and None on every other element.
     """
 
-    __slots__ = ("conductor", "_c")
+    __slots__ = ("conductor", "_c", "_k")
 
     def __init__(self, conductor: int, coeffs: dict):
         phi = euler_phi(conductor)
@@ -192,6 +201,7 @@ class Cyclotomic:
                 clean[e] = v
         self.conductor = conductor
         self._c = clean
+        self._k = None
 
     @classmethod
     def _make(cls, conductor: int, coeffs: dict) -> "Cyclotomic":
@@ -211,6 +221,7 @@ class Cyclotomic:
                 clean[e] = v
         self.conductor = conductor
         self._c = clean
+        self._k = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -239,6 +250,8 @@ class Cyclotomic:
         return not self._c
 
     def is_one(self) -> bool:
+        if self._k is not None:
+            return self._k == 0
         return self._c == {0: 1}
 
     def is_rational(self) -> bool:
@@ -309,6 +322,12 @@ class Cyclotomic:
 
     def __mul__(self, other):
         cls = other.__class__
+        if cls is Cyclotomic and self._k is not None and other._k is not None:
+            m1, m2 = self.conductor, other.conductor
+            if m1 == m2:
+                return _roots(m1)[(self._k + other._k) % m1]
+            m = lcm(m1, m2)
+            return _roots(m)[(self._k * (m // m1) + other._k * (m // m2)) % m]
         if cls is int or cls is Fraction:
             if not other:
                 return Cyclotomic._make(self.conductor, {})
@@ -345,9 +364,11 @@ class Cyclotomic:
         (1/c) * zeta_m^(-k); any other nonzero element inverts by the
         extended Euclidean algorithm against Phi_m.
         """
+        m = self.conductor
+        if self._k is not None:
+            return _roots(m)[-self._k % m]
         if not self._c:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        m = self.conductor
         if len(self._c) == 1:
             # c * z^e inverts to (1/c) * z^(-e)
             ((e, c),) = self._c.items()
@@ -358,7 +379,7 @@ class Cyclotomic:
             if hit is None:
                 return Cyclotomic.from_terms(m, _euclid_inverse(self._c, m))
             k, low = hit
-        inv_root = root_of_unity(m, -k)
+        inv_root = _roots(m)[-k % m]
         scale = Fraction(low) / Fraction(c)
         if scale == 1:
             return inv_root
@@ -374,6 +395,8 @@ class Cyclotomic:
         return self.inverse() * other
 
     def __pow__(self, k: int) -> "Cyclotomic":
+        if self._k is not None:
+            return _roots(self.conductor)[self._k * k % self.conductor]
         if k < 0:
             return self.inverse() ** (-k)
         result = Cyclotomic(self.conductor, {0: 1})
@@ -388,6 +411,13 @@ class Cyclotomic:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
+        if (
+            other.__class__ is Cyclotomic
+            and self._k is not None
+            and other._k is not None
+            and self.conductor == other.conductor
+        ):
+            return self._k == other._k
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -401,6 +431,8 @@ class Cyclotomic:
         Any root of unity in Q(zeta_m) has order dividing lcm(2, m), so the
         search stops there.
         """
+        if self._k is not None:
+            return self.conductor // gcd(self.conductor, self._k)
         if not self._c:
             raise ZeroDivisionError("zero has no multiplicative order")
         bound = lcm(2, self.conductor)
@@ -450,7 +482,7 @@ def zero(conductor: int = 1) -> Cyclotomic:
 
 
 def one(conductor: int = 1) -> Cyclotomic:
-    return Cyclotomic(conductor, {0: 1})
+    return _roots(conductor)[0]
 
 
 def rational(v, conductor: int = 1) -> Cyclotomic:
@@ -458,8 +490,20 @@ def rational(v, conductor: int = 1) -> Cyclotomic:
 
 
 @lru_cache(maxsize=None)
-def root_of_unity(m: int, e: int = 1) -> Cyclotomic:
-    """zeta_m^e in canonical form; its order is m / gcd(m, e mod m)."""
+def _roots(m: int) -> tuple[Cyclotomic, ...]:
+    """The root table: zeta_m^k in canonical form for 0 <= k < m, each
+    tagged with its exponent k."""
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
-    return Cyclotomic.from_terms(m, {e % m: 1})
+    table = []
+    for k in range(m):
+        root = Cyclotomic.from_terms(m, {k: 1})
+        root._k = k
+        table.append(root)
+    return tuple(table)
+
+
+def root_of_unity(m: int, e: int = 1) -> Cyclotomic:
+    """zeta_m^e in canonical form, the root-table entry of exponent e mod m;
+    its order is m / gcd(m, e mod m)."""
+    return _roots(m)[e % m]

@@ -63,7 +63,6 @@ class TaftAlgebra:
         self._sx_pows = [self.H.unit_tensor(1)]
         self._antipode_memo: dict[int, Tensor] = {}
         self._antipode_idem_memo: dict[int, Tensor] = {}
-        self._epsilon_idem_memo: dict[int, Cyclotomic] = {}
 
     # -- scalars ------------------------------------------------------------
 
@@ -360,29 +359,26 @@ class TaftAlgebra:
         )
 
     def epsilon_idem_basis(self, idx: int) -> Cyclotomic:
-        """Counit on the idempotent basis, eps(1_z x^j) = eps(1_z) eps(x^j),
-        with eps(1_z) evaluated through monomial coordinates."""
-        hit = self._epsilon_idem_memo.get(idx)
-        if hit is None:
-            z, j = divmod(idx, self.m)
-            if j:
-                hit = self.epsilon_idem_basis(z * self.m) * self.epsilon_basis(j)
-            else:
-                hit = self.epsilon(self.from_idem(self.H_idem.basis_tensor((idx,))))
-            self._epsilon_idem_memo[idx] = hit
-        return hit
+        """Counit on the idempotent basis, eps(1_z x^j) = delta_{z,0} delta_{j,0}.
+
+        This is the transport of eps(g^t) = 1 and eps(x) = 0; tests compare
+        it against the monomial route.
+        """
+        return cy_one(self.m) if idx == 0 else cy_zero(self.m)
 
     def antipode_idem_basis(self, idx: int) -> Tensor:
-        """Antipode on the idempotent basis, S(1_z x^j) = S(x^j) S(1_z), with
-        S(x^j) and S(1_z) evaluated through monomial coordinates."""
+        """Antipode on the idempotent basis, S(1_z x^j) = S(x^j) S(1_z).
+
+        S(1_z) = 1_(-z) is the transport of S(g^t) = g^(-t); S(x^j) is
+        evaluated through monomial coordinates.  Tests compare both against
+        the monomial route.
+        """
         hit = self._antipode_idem_memo.get(idx)
         if hit is None:
             z, j = divmod(idx, self.m)
+            hit = self.H_idem.basis_tensor((((-z) % self.m) * self.m,), cy_one(self.m))
             if j:
-                hit = self.to_idem(self.antipode_basis(j)) * self.antipode_idem_basis(z * self.m)
-            else:
-                mono = self.from_idem(self.H_idem.basis_tensor((idx,)))
-                hit = self.to_idem(self.antipode(mono))
+                hit = self.to_idem(self.antipode_basis(j)) * hit
             self._antipode_idem_memo[idx] = hit
         return hit
 

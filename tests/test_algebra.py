@@ -1,11 +1,16 @@
 """Descriptor/tensor machinery: products, joins, factor maps, inversion."""
 
+import dataclasses
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhopf.algebra import SingularElementError, Tensor, apply_on_factor, invert
-from qhopf.cyclotomic import one as cy_one
+from qhopf.cyclotomic import one as cy_one, root_of_unity
 from qhopf.taft import TaftAlgebra
 
 
@@ -179,3 +184,45 @@ def test_idem_roundtrip(data):
     t = TaftAlgebra(3)
     u = _random_elem(t, data, 1)
     assert t.from_idem(t.to_idem(u)) == u
+
+
+def _diag_elem(rng, m, rank, diag):
+    # random support on the idempotent sub-basis; coefficients are table
+    # roots, rational multiples of roots, and sums that are no root at all
+    coeffs = [
+        lambda: root_of_unity(m, rng.randrange(m)),
+        lambda: root_of_unity(m, rng.randrange(m)) * Fraction(rng.choice([-3, 2, 5]), 2),
+        lambda: root_of_unity(m, rng.randrange(m)) + cy_one(),
+    ]
+    return {
+        key: rng.choice(coeffs)()
+        for key in itertools.product(diag, repeat=rank)
+        if rng.random() < 0.7
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("descr", ["H_idem", "A_bold"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_diagonal_products_match_join_route(n, descr, rank):
+    # elements on the idempotent sub-basis multiply componentwise; the same
+    # descriptor without diag_indices multiplies them through the hash-join
+    t = TaftAlgebra(n)
+    d = getattr(t, descr)
+    joined = dataclasses.replace(d, diag_indices=None)
+    diag = sorted(d.diag_indices)
+    rng = random.Random(f"{n}:{descr}:{rank}")
+    # 1_1 x in the first slot takes the join route on both descriptors; it
+    # meets 1_0 in every slot of v
+    off_diag = {(diag[1] + 1,) + (diag[0],) * (rank - 1): root_of_unity(t.m, 1)}
+    meets = {(diag[0],) * rank: root_of_unity(t.m, 2)}
+    for trial in range(6):
+        u = _diag_elem(rng, t.m, rank, diag)
+        v = _diag_elem(rng, t.m, rank, diag)
+        if trial == 5:
+            u.update(off_diag)
+            v.update(meets)
+        got = Tensor(d, rank, u) * Tensor(d, rank, v)
+        ref = Tensor(joined, rank, u) * Tensor(joined, rank, v)
+        assert list(got.terms) == list(ref.terms)
+        assert got.terms == ref.terms

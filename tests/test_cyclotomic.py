@@ -289,3 +289,47 @@ def test_inverse_of_subfield_element_matches_oracle(m):
                 inv = x.inverse()
                 assert inv == _oracle_inverse(x), (s, a, cs)
                 assert (x * inv).is_one()
+
+
+def _untagged(r):
+    """A copy of r built through the constructor: same coefficients, no
+    root-table exponent, so every operation on it takes the power-basis path."""
+    return Cyclotomic(r.conductor, dict(r._c))
+
+
+def _same_entry(tagged, reference):
+    # the exponent route must return a table entry equal to the reference
+    assert tagged._k is not None
+    assert tagged.conductor == reference.conductor
+    assert tagged._c == reference._c
+
+
+@pytest.mark.parametrize("m", INVERSE_CONDUCTORS)
+def test_root_table_matches_power_basis(m):
+    roots = [root_of_unity(m, k) for k in range(m)]
+    plain = [_untagged(r) for r in roots]
+    for a, (ra, ua) in enumerate(zip(roots, plain)):
+        assert ra._k == a and ua._k is None
+        assert ra.is_one() == ua.is_one() == (a == 0)
+        _same_entry(ra.inverse(), ua.inverse())
+        assert ra.multiplicative_order() == ua.multiplicative_order()
+        ua_inv = _untagged(ua.inverse())
+        for k in (-m - 1, -2, -1, 0, 1, 2, 3, m - 1, m, 2 * m + 1):
+            _same_entry(ra**k, ua**k if k >= 0 else ua_inv ** (-k))
+        for b, (rb, ub) in enumerate(zip(roots, plain)):
+            _same_entry(ra * rb, ua * ub)
+            assert (ra == rb) == (ua == ub) == (a == b)
+            assert (ra == ub) == (ua == rb) == (a == b)
+
+
+@pytest.mark.parametrize("m1,m2", [(1, m) for m in INVERSE_CONDUCTORS] + [(4, 36), (9, 36)])
+def test_root_table_across_conductors(m1, m2):
+    for a in range(m1):
+        ra = root_of_unity(m1, a)
+        ua = _untagged(ra)
+        for b in range(m2):
+            rb = root_of_unity(m2, b)
+            ub = _untagged(rb)
+            _same_entry(ra * rb, ua * ub)
+            _same_entry(rb * ra, ub * ua)
+            assert (ra == rb) == (ua == ub)

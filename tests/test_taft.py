@@ -199,10 +199,10 @@ def test_antipode_idem_is_index_negation(t3):
 
 
 def test_idem_antipode_and_counit_match_monomial_route(t2, t3):
-    # the idempotent tables use S(1_z x^j) = S(x^j) S(1_z) and
-    # eps(1_z x^j) = eps(1_z) eps(x^j); on every basis element they agree
-    # with the change of coordinates through monomials
-    for t in (t2, t3):
+    # the idempotent tables use S(1_z x^j) = S(x^j) S(1_z) with S(1_z) = 1_(-z)
+    # and eps(1_z x^j) = delta_(z,0) delta_(j,0); on every basis element they
+    # agree with the change of coordinates through monomials
+    for t in (t2, t3, TaftAlgebra(4)):
         for idx in range(t.H_idem.dim):
             mono = t.from_idem(t.H_idem.basis_tensor((idx,)))
             assert t.antipode_idem_basis(idx) == t.to_idem(t.antipode(mono))
