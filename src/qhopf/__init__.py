@@ -25,8 +25,6 @@ from .twist import (
     cyclic_associator_bold,
     taft_hopf,
     twist_inverse,
-    twisted_antipode,
-    twisted_coproduct,
 )
 from .axioms import (
     check_antipode,

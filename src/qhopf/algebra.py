@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .cyclotomic import Cyclotomic, one as cy_one, zero as cy_zero
+from .cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero as cy_zero
 
 __all__ = ["AlgebraDescriptor", "SingularElementError", "Tensor", "apply_on_factor", "invert"]
 
@@ -61,8 +61,6 @@ class AlgebraDescriptor:
         return Tensor(self, rank, terms)
 
     def basis_tensor(self, key: tuple, coeff: Cyclotomic | int = 1) -> "Tensor":
-        if not isinstance(coeff, Cyclotomic):
-            coeff = cy_one() * coeff
         return Tensor(self, len(key), {tuple(key): coeff})
 
     def __repr__(self):
@@ -78,7 +76,7 @@ class Tensor:
         clean = {}
         for key, c in terms.items():
             if not isinstance(c, Cyclotomic):
-                c = cy_one() * c
+                c = _scalar(c)
             if not c.is_zero():
                 clean[key] = c
         self.algebra = algebra
@@ -206,6 +204,14 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor({self.algebra.name}, rank={self.rank}, terms={len(self.terms)})"
+
+
+def _scalar(c) -> Cyclotomic:
+    """A rational coefficient as a scalar; the ints 1 and -1 become root-table
+    entries, so that products with them stay exponent arithmetic."""
+    if c.__class__ is int and c in (1, -1):
+        return cy_one() if c == 1 else root_of_unity(2, 1)
+    return cy_one() * c
 
 
 def _acc_product(acc: dict, d: AlgebraDescriptor, ukey, cu, vkey, cv):

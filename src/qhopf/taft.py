@@ -328,14 +328,6 @@ class TaftAlgebra:
         out = _convert(u, self.A, self._sub_bold_to_mon_slot)
         return out.scale(Fraction(1, self.n**u.rank))
 
-    def embed_sub(self, u: Tensor) -> Tensor:
-        """Inclusion A -> H on monomial coordinates (a = g^n)."""
-        return _convert(
-            u,
-            self.H,
-            lambda idx: [((idx // self.m) * self.n * self.m + idx % self.m, cy_one())],
-        )
-
     # -- idempotent-basis structure maps ------------------------------------------
 
     def delta_idem_basis(self, idx: int) -> Tensor:
@@ -392,5 +384,6 @@ def _convert(u: Tensor, target: AlgebraDescriptor, slot_map) -> Tensor:
                 nk = key[:p] + (ni,) + key[p + 1 :]
                 prev = nxt.get(nk)
                 nxt[nk] = c * cc if prev is None else prev + c * cc
-        cur = nxt
+        # coefficients that cancelled in this slot are not carried into the next
+        cur = {k: c for k, c in nxt.items() if c}
     return Tensor(target, u.rank, cur)

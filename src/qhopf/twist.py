@@ -13,14 +13,16 @@ self-contained n^3-dimensional quasi-Hopf structure.
 J is diagonal on the primitive idempotents 1_z, so the construction runs in
 the idempotent coordinates of H.  There A is the part whose coefficients are
 constant on residue classes z mod n, which :func:`aggregate_to_bold` rewrites
-over the aggregated idempotents 1_s = sum_i 1_{s+ni}.  The monomial-coordinate
-maps :func:`twisted_coproduct` and :func:`twisted_antipode` serve the
-closed-form checks, dumps and tests.
+over the aggregated idempotents 1_s = sum_i 1_{s+ni}.  The checks compare
+in that frame too; monomial coordinates are left to the dumps and to the
+n <= 3 cross-check of coproduct closure.
 
 Closed forms for the twisted coproduct of x, the twisted antipode of x, the
 associator and the distinguished elements are provided as *references* to be
-compared against; construction always follows the literal twist formulas, so
-a defect in any closed form surfaces as a failed check, and is never baked in.
+compared against, each built in the coordinates the paper states it in: the
+aggregated idempotents for A, the primitive ones for H.  Construction always
+follows the literal twist formulas, so a defect in any closed form surfaces
+as a failed check, and is never baked in.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ __all__ = [
     "taft_hopf",
     "twist_exponent",
     "twist_inverse",
-    "twisted_antipode",
-    "twisted_coproduct",
 ]
 
 
@@ -191,22 +191,7 @@ def aggregate_to_bold(taft: TaftAlgebra, u: Tensor) -> Tensor:
     return Tensor(taft.A_bold, u.rank, chosen)
 
 
-# -- twisted structure maps -----------------------------------------------------
-
-
-def twisted_coproduct(
-    taft: TaftAlgebra,
-    u: Tensor,
-    J: Tensor | None = None,
-    Jinv: Tensor | None = None,
-) -> Tensor:
-    """J Delta(u) J^(-1) for a rank-1 element of H, in monomial coordinates."""
-    if J is None:
-        J = build_twist(taft)
-    if Jinv is None:
-        Jinv = invert(J)
-    d = taft.to_idem(taft.delta(u))
-    return taft.from_idem(J * d * Jinv)
+# -- closed forms and distinguished elements ---------------------------------------
 
 
 def coproduct_x_reference(taft: TaftAlgebra) -> Tensor:
@@ -214,16 +199,15 @@ def coproduct_x_reference(taft: TaftAlgebra) -> Tensor:
 
         x (x) sum_y q^y 1_y  +  1 (x) (1 - 1_0) x  +  a^(-1) (x) 1_0 x
 
-    over aggregated idempotents; built independently of the twist."""
-    n = taft.n
-    K = Tensor(taft.H, 1, {})
-    for y in range(n):
-        K = K + taft.bold_idempotent(y).scale(taft.q_power(y))
-    b0 = taft.bold_idempotent(0)
-    term1 = taft.x.tensor(K)
-    term2 = taft.unit.tensor((taft.unit - b0) * taft.x)
-    term3 = taft.monomial(-taft.n, 0).tensor(b0 * taft.x)
-    return term1 + term2 + term3
+    built in the aggregated-idempotent frame, independently of the twist:
+    x = sum_s 1_s x and a^(-1) = sum_s Q^(-s) 1_s come from A's change of basis."""
+    n, m = taft.n, taft.m
+    A = taft.A_bold
+    x = taft.sub_to_bold(taft.sub_monomial(0, 1))
+    a_inv = taft.sub_to_bold(taft.sub_monomial(-1, 0))
+    x0 = A.basis_tensor((1,))  # 1_0 x
+    K = Tensor(A, 1, {(y * m,): taft.q_power(y) for y in range(n)})
+    return x.tensor(K) + A.unit_tensor(1).tensor(x - x0) + a_inv.tensor(x0)
 
 
 def antipode_elements(taft: TaftAlgebra, J: Tensor | None = None):
@@ -266,27 +250,15 @@ def alpha_closed_form(taft: TaftAlgebra) -> Tensor:
     )
 
 
-def twisted_antipode(
-    taft: TaftAlgebra,
-    u: Tensor,
-    beta: Tensor | None = None,
-    beta_inv: Tensor | None = None,
-) -> Tensor:
-    """beta_J S(u) beta_J^(-1) for a rank-1 element of H, monomial coordinates."""
-    if beta is None:
-        _, beta = antipode_elements(taft)
-    if beta_inv is None:
-        beta_inv = invert(beta)
-    si = taft.to_idem(taft.antipode(u))
-    return taft.from_idem(beta * si * beta_inv)
-
-
 def antipode_x_reference(taft: TaftAlgebra) -> Tensor:
-    """Closed form -x sum_{z<n} q^(n-z) 1_z over aggregated idempotents."""
-    acc = Tensor(taft.H, 1, {})
-    for z in range(taft.n):
-        acc = acc + taft.bold_idempotent(z).scale(taft.q_power(taft.n - z))
-    return (taft.x * acc).scale(-1)
+    """Closed form -x sum_{z<n} q^(n-z) 1_z in the aggregated-idempotent
+    frame, where x 1_z = 1_(z+1) x."""
+    n, m = taft.n, taft.m
+    return Tensor(
+        taft.A_bold,
+        1,
+        {(((z + 1) % n) * m + 1,): -taft.q_power(n - z) for z in range(n)},
+    )
 
 
 # -- assembled structures ---------------------------------------------------------

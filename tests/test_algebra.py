@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhopf.algebra import SingularElementError, Tensor, apply_on_factor, invert
-from qhopf.cyclotomic import one as cy_one, root_of_unity
+from qhopf.cyclotomic import Cyclotomic, one as cy_one, rational, root_of_unity
 from qhopf.taft import TaftAlgebra
 
 
@@ -111,6 +111,19 @@ def test_in_span_examples(t2):
     assert zero.in_span(t2.a_indices_in_h)
     dx = t2.delta(t2.x)
     assert not dx.in_span(t2.a_indices_in_h)  # x (x) g leaves A (x) A
+
+
+def test_unit_int_coefficients_become_table_entries(t2):
+    # 1 and -1 are stored as root-table entries, equal to their untagged
+    # copies; any other int stays an untagged rational
+    for coeff in (1, -1):
+        for u in (t2.H.basis_tensor((1,), coeff), Tensor(t2.H, 1, {(1,): coeff})):
+            (c,) = u.terms.values()
+            assert c._k is not None
+            assert c == Cyclotomic(c.conductor, dict(c._c))
+            assert c == rational(coeff)
+    (c,) = t2.H.basis_tensor((1,), 2).terms.values()
+    assert c._k is None and c == rational(2)
 
 
 def test_invert_rejects_elements_off_the_idempotent_basis(t2):

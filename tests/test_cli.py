@@ -5,15 +5,24 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from qhopf.axioms import deterministic_sample
 from qhopf.cli import (
     ALL_CHECK_NAMES,
+    BuildContext,
     RunConfig,
+    _fam_route_agreement,
     coprime_exponents,
     dump_structure,
     main,
     render_report,
     run_suite,
 )
+from qhopf.corruptions import corrupted_coproduct
+from qhopf.taft import TaftAlgebra
+
+from monomial_route import frame_on_monomial, twisted_coproduct
 
 ENV = {**os.environ, "PYTHONPATH": "src"}
 
@@ -236,3 +245,45 @@ def test_witness_serialized_on_failure(monkeypatch):
     )
     assert checks["pentagon"]["status"] == "fail"
     assert "coefficient at (0, 0, 8)" in checks["pentagon"]["witness"]
+
+
+def _monomial_route_agreement(ctx, seed):
+    """Route agreement as it ran before the frame route: the literal twisted
+    coproduct in monomial coordinates of H against the frame table mapped
+    there, on the same sample (n <= 3 exhaustive, seven indices at n = 4)."""
+    t = ctx.taft
+    count = t.A.dim if ctx.n <= 3 else 4
+    for idx in deterministic_sample(t.A.dim, count, seed, always=[0, 1, t.m]):
+        i, j = divmod(idx, t.m)
+        literal = twisted_coproduct(t, t.monomial(t.n * i, j), ctx.twist, ctx.twist_inv)
+        if literal != frame_on_monomial(t, ctx.struct.frame.coproduct, idx, 2):
+            return f"multiplicative route differs from conjugation at a^{i} x^{j}"
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_route_agreement_names_the_monomial_routes_index(n):
+    ctx = BuildContext(n, 1, 0)
+    ctx.struct = corrupted_coproduct(ctx.struct)
+    old = _monomial_route_agreement(ctx, 0)
+    assert old == "multiplicative route differs from conjugation at a^0 x^1"
+    assert _fam_route_agreement([ctx], 0).startswith(old + ": first difference at (")
+
+
+def test_n4_checks_stay_in_the_frame(monkeypatch):
+    # no check converts back to monomials of H at n >= 4
+    def refuse(self, u):
+        raise AssertionError("from_idem called")
+
+    monkeypatch.setattr(TaftAlgebra, "from_idem", refuse)
+    config = RunConfig(n=4, q_exponents=[1], checks=list(ALL_CHECK_NAMES), seed=0)
+    report, code = run_suite(config)
+    failures = [
+        c
+        for c in report["structures"][0]["checks"] + report["family_checks"]
+        if c["status"] != "pass"
+    ]
+    assert code == 0, failures
+    # the patch bites where a check does convert: closure's n <= 3 cross-check
+    small = RunConfig(n=3, q_exponents=[1], checks=["coproduct_closure"], seed=0)
+    assert run_suite(small)[1] == 1

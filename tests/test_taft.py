@@ -8,6 +8,8 @@ from qhopf.algebra import Tensor, apply_on_factor
 from qhopf.cyclotomic import one as cy_one, zero as cy_zero
 from qhopf.taft import TaftAlgebra
 
+from monomial_route import embed_sub
+
 
 @pytest.fixture(scope="module")
 def t2():
@@ -209,6 +211,26 @@ def test_idem_antipode_and_counit_match_monomial_route(t2, t3):
             assert t.epsilon_idem_basis(idx) == t.epsilon(mono)
 
 
+def test_convert_drops_cancelled_terms_between_slots(monkeypatch):
+    # sum_t g^t = n^2 1_0: in (sum_t g^t) (x) x every idempotent but 1_0
+    # cancels in the first slot, and only the surviving term reaches the
+    # second slot's map
+    t = TaftAlgebra(2)
+    m = t.m
+    u = Tensor(t.H, 2, {(k * m, 1): cy_one() for k in range(m)})
+    slot_map = t._mon_to_idem_slot
+    calls = []
+
+    def counted(idx):
+        calls.append(idx)
+        return slot_map(idx)
+
+    monkeypatch.setattr(t, "_mon_to_idem_slot", counted)
+    out = t.to_idem(u)
+    assert calls[m:] == [1]
+    assert out == Tensor(t.H_idem, 2, {(0, z * m + 1): m for z in range(m)})
+
+
 def test_subalgebra_closure_exhaustive(t2, t3):
     for t in (t2, t3):
         idx = sorted(t.a_indices_in_h)
@@ -221,8 +243,8 @@ def test_sub_descriptor_matches_ambient(t3):
     # A-products computed in A coordinates agree with the ambient H products
     for i, j, k, l in itertools.product(range(3), range(4), range(3), range(4)):
         u, v = t3.sub_monomial(i, j), t3.sub_monomial(k, l)
-        inside = t3.embed_sub(u * v)
-        ambient = t3.embed_sub(u) * t3.embed_sub(v)
+        inside = embed_sub(t3, u * v)
+        ambient = embed_sub(t3, u) * embed_sub(t3, v)
         assert inside == ambient
 
 

@@ -22,6 +22,13 @@ from qhopf.twist import (
     taft_hopf,
     twist_exponent,
     twist_inverse,
+)
+
+from monomial_route import (
+    antipode_x_reference_monomial,
+    coproduct_x_reference_monomial,
+    frame_on_monomial,
+    frame_to_h,
     twisted_antipode,
     twisted_coproduct,
 )
@@ -117,8 +124,40 @@ def test_aggregate_rejects_non_A_elements(t2):
 def test_twisted_coproduct_of_x_closed_form(t2, t3):
     for t in (t2, t3):
         dx = twisted_coproduct(t, t.x)
-        assert dx == coproduct_x_reference(t)
+        assert dx == coproduct_x_reference_monomial(t)
         assert dx.in_span(t.a_indices_in_h)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_frame_references_match_monomial_builders(n):
+    # the closed forms built in the frame, taken to monomials of H, are the
+    # ones built from Fraction-dense idempotent sums, for every exponent
+    for e in coprime_exponents(n):
+        t = TaftAlgebra(n, e)
+        assert frame_to_h(t, coproduct_x_reference(t)) == coproduct_x_reference_monomial(t)
+        assert frame_to_h(t, antipode_x_reference(t)) == antipode_x_reference_monomial(t)
+
+
+LITERAL_ROUTE_CASES = [(n, e) for n in (2, 3) for e in coprime_exponents(n)] + [(4, 1)]
+
+
+@pytest.mark.parametrize("n,e", LITERAL_ROUTE_CASES)
+def test_literal_frame_route_matches_monomial_route(n, e):
+    # the checks conjugate in idempotent coordinates and aggregate onto the
+    # frame; on every monomial of A that is the literal twisted coproduct and
+    # antipode taken back to monomials of H
+    t = TaftAlgebra(n, e)
+    J = build_twist(t)
+    Jinv = invert(J)
+    _, beta = antipode_elements(t, J)
+    beta_inv = invert(beta)
+    for i in range(n):
+        for j in range(t.m):
+            u = t.monomial(n * i, j)
+            delta = aggregate_to_bold(t, J * t.to_idem(t.delta(u)) * Jinv)
+            assert frame_to_h(t, delta) == twisted_coproduct(t, u, J, Jinv), f"a^{i} x^{j}"
+            s = aggregate_to_bold(t, beta * t.to_idem(t.antipode(u)) * beta_inv)
+            assert frame_to_h(t, s) == twisted_antipode(t, u, beta, beta_inv), f"a^{i} x^{j}"
 
 
 def test_twisted_coproduct_fixes_grouplikes_of_A(t2, t3):
@@ -161,7 +200,7 @@ def test_frame_matches_monomial_route(n):
             literal = J * t.to_idem(t.delta(t.bold_idempotent(b))) * Jinv
             assert s.frame.coproduct(b * m) == _monomial_route(t, literal), f"Delta(1_{b})"
         for idx in range(s.dim):
-            u = t.embed_sub(t.sub_from_bold(t.A_bold.basis_tensor((idx,))))
+            u = frame_to_h(t, t.A_bold.basis_tensor((idx,)))
             assert s.frame.counit(idx) == t.epsilon(u), f"counit at {idx}"
         alpha_j, beta_j = antipode_elements(t, J)
         assert s.frame.alpha == _monomial_route(t, alpha_j * beta_j)
@@ -181,13 +220,6 @@ def test_build_rejects_twist_that_leaves_A(t2):
     assert err.value.witness is not None
 
 
-def _frame_on_monomial(t, fmap, idx, rank):
-    """A frame map on the monomial a^i x^j (idx = i m + j) of A, returned in
-    the monomial coordinates of H."""
-    u = t.sub_to_bold(t.A.basis_tensor((idx,)))
-    return t.embed_sub(t.sub_from_bold(apply_on_factor(u, fmap, 1, rank)))
-
-
 def test_twisted_coproduct_multiplicative_route_agrees(t2, t3):
     # the frame table, built multiplicatively from Delta(1_s) and Delta(x),
     # must match the literal conjugation on every basis monomial of A
@@ -196,7 +228,7 @@ def test_twisted_coproduct_multiplicative_route_agrees(t2, t3):
         for i in range(t.n):
             for j in range(t.m):
                 literal = twisted_coproduct(t, t.monomial(t.n * i, j))
-                table = _frame_on_monomial(t, s.frame.coproduct, i * t.m + j, 2)
+                table = frame_on_monomial(t, s.frame.coproduct, i * t.m + j, 2)
                 assert table == literal, f"route mismatch at a^{i} x^{j}"
 
 
@@ -235,7 +267,7 @@ def test_alpha_beta_product_is_a_power(t2, t3):
 def test_twisted_antipode_closed_form(t2, t3):
     for t in (t2, t3):
         sx = twisted_antipode(t, t.x)
-        assert sx == antipode_x_reference(t)
+        assert sx == antipode_x_reference_monomial(t)
         assert sx.in_span(t.a_indices_in_h)
         assert twisted_antipode(t, t.unit) == t.unit
         assert twisted_antipode(t, t.a) == t.monomial(-t.n, 0)
@@ -251,7 +283,7 @@ def test_twisted_antipode_preserves_A(t2, t3):
         for i in range(t.n):
             for j in range(t.m):
                 literal = twisted_antipode(t, t.monomial(t.n * i, j))
-                table = _frame_on_monomial(t, s.frame.antipode, i * t.m + j, 1)
+                table = frame_on_monomial(t, s.frame.antipode, i * t.m + j, 1)
                 assert table == literal, f"antipode mismatch at a^{i} x^{j}"
 
 
