@@ -5,24 +5,46 @@ basis indices and the unit element.  :class:`Tensor` holds a sparse element of
 the r-fold tensor power of such an algebra, keyed by index tuples; rank 1 is
 the algebra itself.
 
-Descriptors may declare a join constraint (``join_left``/``join_right``): two
-basis elements multiply to zero unless their join keys agree.  Multiplication
-then hash-joins on these keys, which is what keeps products of idempotent
--supported elements linear in the number of stored terms instead of quadratic.
-Two elements that both lie on the declared idempotent sub-basis
-(``diag_indices``) skip the join and multiply componentwise over their common
-keys.
+``Tensor.__mul__`` takes one of three routes.
+
+* Join: descriptors may declare a join constraint (``join_left``/
+  ``join_right``): two basis elements multiply to zero unless their join keys
+  agree.  Multiplication then hash-joins on these keys, which keeps products
+  of idempotent-supported elements linear in the number of stored terms
+  instead of quadratic; without one, every pair of terms is multiplied.  A
+  descriptor that states its product as ``compose`` (a pair of basis elements
+  multiplies to one basis element with coefficient 1, or to 0) composes each
+  joined pair's key slot by slot and multiplies only the two coefficients.
+* Diagonal: two elements on the declared idempotent sub-basis
+  (``diag_indices``) multiply componentwise over their common keys.
+* One-sided diagonal: an element d on the sub-basis times any u scales each
+  term of u by d's coefficient at the term's left ends, and u times d by d's
+  coefficient at its right ends; 1_e b = b when 1_e is the left end of b, and
+  0 otherwise.  The end tables are built once per descriptor from its join
+  keys.
+
+:func:`conjugate` computes d u d^(-1) for diagonal d in one pass of the
+one-sided kind, with the factor of each pair of ends computed once.  Every
+route returns its terms in the key order of the join route.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero as cy_zero
 
-__all__ = ["AlgebraDescriptor", "SingularElementError", "Tensor", "apply_on_factor", "invert"]
+__all__ = [
+    "AlgebraDescriptor",
+    "SingularElementError",
+    "Tensor",
+    "apply_on_factor",
+    "conjugate",
+    "invert",
+]
 
 
 class SingularElementError(ValueError):
@@ -38,19 +60,54 @@ class AlgebraDescriptor:
     """Basis-indexed presentation of a finite-dimensional associative algebra.
 
     ``mult(i, j)`` returns the structure constants of the product of basis
-    elements i and j as a sparse map.  ``diag_indices``, when set, lists a
-    sub-basis of orthogonal idempotents; elements supported on it multiply
-    componentwise and invert by scalar inversion.
+    elements i and j as a sparse map with at most one term: every product of
+    two basis elements is a scalar multiple of one basis element, or 0.  A
+    descriptor whose products all have coefficient 1 states its rule as
+    ``compose(i, j)`` instead, the index of the product or None for 0, and
+    ``mult`` is derived from it.
+
+    ``join_left(i) != join_right(j)`` means that i j = 0.  ``diag_indices``,
+    when set, lists a sub-basis of orthogonal idempotents, each with equal
+    left and right join keys, and needs the join keys; elements supported on
+    it multiply componentwise, scale other elements at their ends and invert
+    by scalar inversion.
     """
 
     name: str
     dim: int
     label: Callable[[int], str]
-    mult: Callable[[int, int], dict]
+    mult: Optional[Callable[[int, int], dict]] = None
     unit: dict = field(default_factory=dict)
     join_left: Optional[Callable[[int], int]] = None
     join_right: Optional[Callable[[int], int]] = None
     diag_indices: Optional[frozenset] = None
+    compose: Optional[Callable[[int, int], Optional[int]]] = None
+
+    def __post_init__(self):
+        if self.mult is None:
+            compose, one = self.compose, cy_one()
+            if compose is None:
+                raise TypeError(f"descriptor {self.name} needs mult or compose")
+
+            def mult(i: int, j: int) -> dict:
+                k = compose(i, j)
+                return {} if k is None else {k: one}
+
+            object.__setattr__(self, "mult", mult)
+
+    @cached_property
+    def _join_keys(self) -> tuple[tuple, tuple]:
+        """Lookup tables of ``join_left`` and ``join_right`` over the basis."""
+        basis = range(self.dim)
+        return tuple(map(self.join_left, basis)), tuple(map(self.join_right, basis))
+
+    @cached_property
+    def _ends(self) -> tuple[tuple, tuple]:
+        """End tables: for each basis index b, the idempotent e of the
+        sub-basis with e b = b (left) and the one with b e = b (right)."""
+        jl, jr = self._join_keys
+        by_key = {jl[e]: e for e in self.diag_indices}
+        return tuple(by_key[k] for k in jr), tuple(by_key[k] for k in jl)
 
     def unit_tensor(self, rank: int) -> "Tensor":
         terms = {(): cy_one()}
@@ -68,9 +125,13 @@ class AlgebraDescriptor:
 
 
 class Tensor:
-    """Sparse element of the rank-fold tensor power of a descriptor's algebra."""
+    """Sparse element of the rank-fold tensor power of a descriptor's algebra.
 
-    __slots__ = ("algebra", "rank", "terms")
+    ``terms`` is not modified after construction; routes rely on that to
+    remember whether the element lies on the idempotent sub-basis.
+    """
+
+    __slots__ = ("algebra", "rank", "terms", "_diag")
 
     def __init__(self, algebra: AlgebraDescriptor, rank: int, terms: dict):
         clean = {}
@@ -82,6 +143,7 @@ class Tensor:
         self.algebra = algebra
         self.rank = rank
         self.terms = clean
+        self._diag = None  # _on_diag, computed on first use
 
     # -- structural helpers --------------------------------------------------
 
@@ -126,25 +188,41 @@ class Tensor:
             return self.scale(other)
         self._check_mate(other)
         d = self.algebra
-        acc: dict = {}
-        if _on_diag(self) and _on_diag(other):
+        u_diag, v_diag = _on_diag(self), _on_diag(other)
+        if u_diag and v_diag:
             # orthogonal idempotents: 1_z 1_w = delta_zw 1_z in every slot
             vterms = other.terms
+            acc = {}
             for key, cu in self.terms.items():
                 cv = vterms.get(key)
                 if cv is not None:
                     acc[key] = cu * cv
-        elif d.join_right is not None and d.join_left is not None:
+            return _tensor(d, self.rank, acc, True)
+        if u_diag:
+            return _sandwich(self, other, None)
+        if v_diag:
+            return _sandwich(None, self, other)
+        acc = {}
+        if d.join_right is not None and d.join_left is not None:
+            jl, jr = (table.__getitem__ for table in d._join_keys)
             buckets: dict = {}
-            jr = d.join_right
             for vkey, cv in other.terms.items():
-                buckets.setdefault(tuple(jr(i) for i in vkey), []).append((vkey, cv))
-            jl = d.join_left
+                buckets.setdefault(tuple(map(jr, vkey)), []).append((vkey, cv))
+            compose = d.compose
             for ukey, cu in self.terms.items():
-                hits = buckets.get(tuple(jl(i) for i in ukey))
-                if hits:
+                hits = buckets.get(tuple(map(jl, ukey)))
+                if hits is None:
+                    continue
+                if compose is None:
                     for vkey, cv in hits:
                         _acc_product(acc, d, ukey, cu, vkey, cv)
+                    continue
+                for vkey, cv in hits:
+                    key = tuple(map(compose, ukey, vkey))
+                    if None not in key:
+                        c = cu * cv
+                        prev = acc.get(key)
+                        acc[key] = c if prev is None else prev + c
         else:
             for ukey, cu in self.terms.items():
                 for vkey, cv in other.terms.items():
@@ -214,6 +292,16 @@ def _scalar(c) -> Cyclotomic:
     return cy_one() * c
 
 
+def _tensor(algebra: AlgebraDescriptor, rank: int, terms: dict, diag=None) -> Tensor:
+    """A Tensor over terms whose coefficients are already nonzero scalars."""
+    u = object.__new__(Tensor)
+    u.algebra = algebra
+    u.rank = rank
+    u.terms = terms
+    u._diag = diag
+    return u
+
+
 def _acc_product(acc: dict, d: AlgebraDescriptor, ukey, cu, vkey, cv):
     parts = []
     for i, j in zip(ukey, vkey):
@@ -222,25 +310,56 @@ def _acc_product(acc: dict, d: AlgebraDescriptor, ukey, cu, vkey, cv):
             return
         parts.append(p)
     coeff = cu * cv
-    if all(len(p) == 1 for p in parts):
-        key = []
-        for p in parts:
-            ((i, c),) = p.items()
-            key.append(i)
-            if not c.is_one():
-                coeff = coeff * c
-        key = tuple(key)
-        prev = acc.get(key)
-        acc[key] = coeff if prev is None else prev + coeff
-        return
-    for combo in itertools.product(*(p.items() for p in parts)):
-        key = tuple(i for i, _ in combo)
-        c = coeff
-        for _, extra in combo:
-            if not extra.is_one():
-                c = c * extra
-        prev = acc.get(key)
-        acc[key] = c if prev is None else prev + c
+    key = []
+    for p in parts:
+        # a single term: the AlgebraDescriptor contract
+        ((i, c),) = p.items()
+        key.append(i)
+        if not c.is_one():
+            coeff = coeff * c
+    key = tuple(key)
+    prev = acc.get(key)
+    acc[key] = coeff if prev is None else prev + coeff
+
+
+def _sandwich(dl: Optional[Tensor], u: Tensor, dr: Optional[Tensor]) -> Tensor:
+    """dl u dr for dl, dr on the idempotent sub-basis, None standing for 1.
+
+    Each term of u is scaled by dl at its left ends and dr at its right
+    ends.  The terms come grouped by left ends in dl's key order, as the join
+    route returns them; products of nonzero scalars need no cleaning.
+    """
+    left, right = (table.__getitem__ for table in u.algebra._ends)
+    acc = {}
+    if dl is None:
+        rterms = dr.terms
+        for key, c in u.terms.items():
+            cr = rterms.get(tuple(map(right, key)))
+            if cr is not None:
+                acc[key] = c * cr
+        return _tensor(u.algebra, u.rank, acc)
+    groups: dict = {}
+    for key, c in u.terms.items():
+        groups.setdefault(tuple(map(left, key)), []).append((key, c))
+    for lkey, cl in dl.terms.items():
+        group = groups.get(lkey)
+        if group is None:
+            continue
+        if dr is None:
+            for key, c in group:
+                acc[key] = cl * c
+            continue
+        factors: dict = {}  # right ends -> cl * dr there, or None for 0
+        for key, c in group:
+            rkey = tuple(map(right, key))
+            if rkey in factors:
+                f = factors[rkey]
+            else:
+                cr = dr.terms.get(rkey)
+                f = factors[rkey] = None if cr is None else cl * cr
+            if f is not None:
+                acc[key] = c * f
+    return _tensor(u.algebra, u.rank, acc)
 
 
 def apply_on_factor(u: Tensor, fmap: Callable[[int], object], position: int, out_rank: int) -> Tensor:
@@ -275,9 +394,30 @@ def apply_on_factor(u: Tensor, fmap: Callable[[int], object], position: int, out
 
 def _on_diag(u: Tensor) -> bool:
     """True iff every slot of every term of u lies on the descriptor's
-    idempotent sub-basis (False when it declares none)."""
-    diag = u.algebra.diag_indices
-    return diag is not None and all(all(i in diag for i in key) for key in u.terms)
+    idempotent sub-basis (False when it declares none); computed once per
+    tensor."""
+    flag = u._diag
+    if flag is None:
+        diag = u.algebra.diag_indices
+        flag = diag is not None and diag.issuperset(itertools.chain.from_iterable(u.terms))
+        u._diag = flag
+    return flag
+
+
+def conjugate(d: Tensor, u: Tensor, d_inv: Tensor) -> Tensor:
+    """d u d_inv for d and d_inv on the declared idempotent sub-basis, in
+    one pass; equal to ``d * u * d_inv`` term for term and in key order.
+
+    Each term of u is scaled by d at its left ends times d_inv at its right
+    ends, and that factor is computed once per pair of ends.  Passing an
+    element off the sub-basis as d or d_inv is a programming error and
+    raises a plain :class:`ValueError`, as in :func:`invert`.
+    """
+    d._check_mate(u)
+    u._check_mate(d_inv)
+    if not (_on_diag(d) and _on_diag(d_inv)):
+        raise ValueError(f"conjugate needs elements of the idempotent sub-basis of {d.algebra!r}")
+    return _sandwich(d, u, d_inv)
 
 
 def invert(u: Tensor) -> Tensor:
@@ -304,4 +444,4 @@ def invert(u: Tensor) -> Tensor:
         raise SingularElementError(
             f"diagonal element has a zero eigenvalue at {missing}", witness=missing
         )
-    return Tensor(d, u.rank, {k: c.inverse() for k, c in u.terms.items()})
+    return _tensor(d, u.rank, {k: c.inverse() for k, c in u.terms.items()}, True)

@@ -26,7 +26,7 @@ from functools import cached_property
 from math import gcd
 
 from . import __version__
-from .algebra import SingularElementError, Tensor, apply_on_factor, invert
+from .algebra import SingularElementError, Tensor, apply_on_factor, conjugate, invert
 from .axioms import (
     check_antipode,
     check_basic,
@@ -231,7 +231,7 @@ def _chk_associator_identity(ctx: BuildContext) -> str | None:
 def _chk_coproduct_x_identity(ctx: BuildContext) -> str | None:
     t = ctx.taft
     try:
-        dx = aggregate_to_bold(t, ctx.twist * t.to_idem(t.delta(t.x)) * ctx.twist_inv)
+        dx = aggregate_to_bold(t, conjugate(ctx.twist, t.to_idem(t.delta(t.x)), ctx.twist_inv))
     except ConstructionError:
         return "twisted coproduct of x leaves A (x) A"
     reference = coproduct_x_reference(t)
@@ -252,8 +252,8 @@ def _chk_coproduct_closure(ctx: BuildContext) -> str | None:
     """
     t = ctx.taft
     J, Jinv = ctx.twist, ctx.twist_inv
-    dx = J * t.to_idem(t.delta(t.x)) * Jinv
-    da = [J * t.to_idem(t.delta(t.monomial(t.n * i, 0))) * Jinv for i in range(t.n)]
+    dx = conjugate(J, t.to_idem(t.delta(t.x)), Jinv)
+    da = [conjugate(J, t.to_idem(t.delta(t.monomial(t.n * i, 0))), Jinv) for i in range(t.n)]
     power = t.H_idem.unit_tensor(2)
     bold_powers = []
     for j in range(t.m):
@@ -298,7 +298,7 @@ def _chk_antipode_x_identity(ctx: BuildContext) -> str | None:
         ("a", t.a, t.sub_to_bold(t.sub_monomial(-1, 0)), "is not a^(-1)"),
     ):
         try:
-            su = aggregate_to_bold(t, beta * t.to_idem(t.antipode(u)) * beta_inv)
+            su = aggregate_to_bold(t, conjugate(beta, t.to_idem(t.antipode(u)), beta_inv))
         except ConstructionError:
             return f"twisted antipode of {name} leaves A"
         if su != reference:
@@ -433,7 +433,8 @@ def _fam_route_agreement(contexts, seed) -> str | None:
         indices = deterministic_sample(t.A.dim, 2, seed, always=[1])
     for idx in indices:
         i, j = divmod(idx, t.m)
-        conjugated = ctx.twist * t.to_idem(t.delta(t.monomial(t.n * i, j))) * ctx.twist_inv
+        delta = t.to_idem(t.delta(t.monomial(t.n * i, j)))
+        conjugated = conjugate(ctx.twist, delta, ctx.twist_inv)
         try:
             literal = aggregate_to_bold(t, conjugated)
         except ConstructionError:

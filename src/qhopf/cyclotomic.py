@@ -320,15 +320,29 @@ class Cyclotomic:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _lifted(self, m: int) -> "Cyclotomic":
+        """self in the field of conductor lcm(m, self.conductor)."""
+        if self.conductor % m == 0:
+            return self
+        return self.embed(lcm(m, self.conductor))
+
     def __mul__(self, other):
         cls = other.__class__
-        if cls is Cyclotomic and self._k is not None and other._k is not None:
-            m1, m2 = self.conductor, other.conductor
-            if m1 == m2:
-                return _roots(m1)[(self._k + other._k) % m1]
-            m = lcm(m1, m2)
-            return _roots(m)[(self._k * (m // m1) + other._k * (m // m2)) % m]
-        if cls is int or cls is Fraction:
+        if cls is Cyclotomic:
+            k1, k2 = self._k, other._k
+            if k1 is not None:
+                m1 = self.conductor
+                if k2 is not None:
+                    m2 = other.conductor
+                    if m1 == m2:
+                        return _roots(m1)[(k1 + k2) % m1]
+                    m = lcm(m1, m2)
+                    return _roots(m)[(k1 * (m // m1) + k2 * (m // m2)) % m]
+                if k1 == 0:
+                    return other._lifted(m1)
+            elif k2 == 0:
+                return self._lifted(other.conductor)
+        elif cls is int or cls is Fraction:
             if not other:
                 return Cyclotomic._make(self.conductor, {})
             return Cyclotomic._make(
@@ -411,13 +425,15 @@ class Cyclotomic:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        if (
-            other.__class__ is Cyclotomic
-            and self._k is not None
-            and other._k is not None
-            and self.conductor == other.conductor
-        ):
-            return self._k == other._k
+        if other.__class__ is Cyclotomic:
+            k1, k2 = self._k, other._k
+            if k1 is not None and k2 is not None and self.conductor == other.conductor:
+                return k1 == k2
+            # the unit embeds as {0: 1} into every conductor
+            if k1 == 0 and k2 is None:
+                return other._c == {0: 1}
+            if k2 == 0 and k1 is None:
+                return self._c == {0: 1}
         a, b = self._pair(other)
         if a is None:
             return NotImplemented

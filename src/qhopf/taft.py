@@ -111,20 +111,20 @@ class TaftAlgebra:
                 return f"1_{z}"
             return f"1_{z} x" if j == 1 else f"1_{z} x^{j}"
 
-        one = cy_one()
-
-        def mult(a: int, b: int) -> dict:
+        def compose(a: int, b: int) -> int | None:
+            # (1_z x^j)(1_w x^l) = 1_z x^(j+l) when w = z - j, else 0
             z, j = divmod(a, m)
             w, l = divmod(b, m)
             if j + l >= m or w != (z - j) % m:
-                return {}
-            return {z * m + (j + l): one}
+                return None
+            return a + l
 
+        one = cy_one()
         return AlgebraDescriptor(
             name=f"H({n},{self.exponent})|idem",
             dim=m * m,
             label=label,
-            mult=mult,
+            compose=compose,
             unit={z * m: one for z in range(m)},
             join_left=lambda idx: (idx // m - idx % m) % m,
             join_right=lambda idx: idx // m,
@@ -167,20 +167,20 @@ class TaftAlgebra:
                 return f"1_{s}"
             return f"1_{s} x" if j == 1 else f"1_{s} x^{j}"
 
-        one = cy_one()
-
-        def mult(a: int, b: int) -> dict:
+        def compose(a: int, b: int) -> int | None:
+            # (1_s x^j)(1_t x^l) = 1_s x^(j+l) when t = s - j mod n, else 0
             s, j = divmod(a, m)
             t, l = divmod(b, m)
             if j + l >= m or t != (s - j) % n:
-                return {}
-            return {s * m + (j + l): one}
+                return None
+            return a + l
 
+        one = cy_one()
         return AlgebraDescriptor(
             name=f"A({n},{self.exponent})|bold",
             dim=n * m,
             label=label,
-            mult=mult,
+            compose=compose,
             unit={s * m: one for s in range(n)},
             join_left=lambda idx: (idx // m - idx % m) % n,
             join_right=lambda idx: idx // m,

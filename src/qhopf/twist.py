@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
-from .algebra import AlgebraDescriptor, Tensor, apply_on_factor, invert
+from .algebra import AlgebraDescriptor, Tensor, apply_on_factor, conjugate, invert
 from .cyclotomic import Cyclotomic, one as cy_one
 from .taft import TaftAlgebra
 
@@ -366,11 +366,11 @@ def build_quasi_hopf(
     # twisted coproduct of x and of each 1_s, by literal conjugation; the
     # coproduct is an algebra map: Delta(1_s x^b) = Delta(1_s) Delta(x)^b
     dx_f = onto_frame(
-        J * t.to_idem(t.delta(t.x)) * Jinv, "twisted coproduct of x leaves A (x) A"
+        conjugate(J, t.to_idem(t.delta(t.x)), Jinv), "twisted coproduct of x leaves A (x) A"
     )
     d1_f = [
         onto_frame(
-            J * apply_on_factor(lift(s * m), t.delta_idem_basis, 1, 2) * Jinv,
+            conjugate(J, apply_on_factor(lift(s * m), t.delta_idem_basis, 1, 2), Jinv),
             f"twisted coproduct of 1_{s} leaves A (x) A",
         )
         for s in range(n)
@@ -398,7 +398,8 @@ def build_quasi_hopf(
     def antipode_f(idx: int) -> Tensor:
         s_h = apply_on_factor(lift(idx), t.antipode_idem_basis, 1, 1)
         return onto_frame(
-            beta_j * s_h * beta_j_inv, f"twisted antipode leaves A at basis index {idx}"
+            conjugate(beta_j, s_h, beta_j_inv),
+            f"twisted antipode leaves A at basis index {idx}",
         )
 
     def counit_f(idx: int) -> Cyclotomic:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhopf.algebra import SingularElementError, Tensor, apply_on_factor, invert
+import qhopf.algebra
+from qhopf.algebra import SingularElementError, Tensor, apply_on_factor, conjugate, invert
 from qhopf.cyclotomic import Cyclotomic, one as cy_one, rational, root_of_unity
 from qhopf.taft import TaftAlgebra
 
@@ -239,3 +240,83 @@ def test_diagonal_products_match_join_route(n, descr, rank):
         ref = Tensor(joined, rank, u) * Tensor(joined, rank, v)
         assert list(got.terms) == list(ref.terms)
         assert got.terms == ref.terms
+
+
+def _off_diag_elem(rng, m, rank, diag):
+    # the terms of a random diagonal element, moved to random x-degrees, plus
+    # 1_z x in every slot, so the element is off the sub-basis
+    terms = {
+        tuple(i + rng.randrange(m) for i in key): c
+        for key, c in _diag_elem(rng, m, rank, diag).items()
+    }
+    terms[tuple(diag[-1] + 1 for _ in range(rank))] = root_of_unity(m, 1)
+    return terms
+
+
+def _route_products(d, rank, terms):
+    # diagonal x general, general x diagonal, conjugation, general x general
+    left, right, u, v = (Tensor(d, rank, w) for w in terms)
+    conjugated = conjugate(left, u, right) if d.diag_indices else left * u * right
+    return [left * u, u * right, conjugated, u * v]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("descr", ["H_idem", "A_bold"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_one_sided_routes_match_join_route(n, descr, rank, monkeypatch):
+    # the same products on the descriptor with neither the idempotent
+    # sub-basis nor the unit-coefficient rule multiply every joined pair
+    # through its structure constants; the full descriptor needs none of them
+    t = TaftAlgebra(n)
+    d = getattr(t, descr)
+    plain = dataclasses.replace(d, diag_indices=None, compose=None)
+    diag = sorted(d.diag_indices)
+    rng = random.Random(f"one-sided:{n}:{descr}:{rank}")
+    trials = []
+    for trial in range(6):
+        el, er = _diag_elem(rng, t.m, rank, diag), _diag_elem(rng, t.m, rank, diag)
+        u, v = _off_diag_elem(rng, t.m, rank, diag), _off_diag_elem(rng, t.m, rank, diag)
+        if trial == 5:
+            u = _diag_elem(rng, t.m, rank, diag)  # conjugating a diagonal element
+        trials.append((el, er, u, v))
+    pair_products = []
+    monkeypatch.setattr(qhopf.algebra, "_acc_product", lambda *args: pair_products.append(args))
+    results = [_route_products(d, rank, terms) for terms in trials]
+    monkeypatch.undo()
+    assert not pair_products
+    met = [0] * 4
+    for terms, got_all in zip(trials, results):
+        for i, (got, ref) in enumerate(zip(got_all, _route_products(plain, rank, terms))):
+            assert list(got.terms) == list(ref.terms)
+            assert got.terms == ref.terms
+            met[i] += bool(ref.terms)
+    assert all(met), met
+
+
+def test_conjugate_rejects_elements_off_the_idempotent_basis(t2):
+    d = t2.H_idem
+    diag = Tensor(d, 1, {(z * t2.m,): root_of_unity(t2.m, z) for z in range(t2.m)})
+    u = t2.to_idem(t2.x + t2.g)
+    off = Tensor(d, 1, {(t2.m + 1,): cy_one(), (0,): cy_one()})  # 1_1 x + 1_0
+    for left, right in ((off, diag), (diag, off), (u, invert(diag))):
+        with pytest.raises(ValueError) as err:
+            conjugate(left, u, right)
+        assert not isinstance(err.value, SingularElementError)
+    assert conjugate(diag, u, invert(diag)) == diag * u * invert(diag)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("descr", ["H_idem", "A_bold"])
+def test_end_tables_name_the_idempotents_fixing_each_basis_element(n, descr):
+    # the one-sided route rests on 1_e b = b for e the left end of b and 0
+    # for every other idempotent of the sub-basis, and on b 1_e likewise
+    d = getattr(TaftAlgebra(n), descr)
+    left, right = d._ends
+    for b in range(d.dim):
+        for e in d.diag_indices:
+            for product, end in ((d.mult(e, b), left[b]), (d.mult(b, e), right[b])):
+                if e == end:
+                    ((k, c),) = product.items()
+                    assert k == b and c.is_one()
+                else:
+                    assert product == {}, (d.label(e), d.label(b))

@@ -333,3 +333,36 @@ def test_root_table_across_conductors(m1, m2):
             _same_entry(ra * rb, ua * ub)
             _same_entry(rb * ra, ub * ua)
             assert (ra == rb) == (ua == ub)
+
+
+@pytest.mark.parametrize("m", INVERSE_CONDUCTORS)
+def test_unit_entry_times_untagged_returns_the_other_operand(m, monkeypatch):
+    # the tagged unit of conductor 1 meets an untagged element of conductor m:
+    # the product is that element and equality reads its coefficients, with
+    # no embedding into a larger conductor
+    phi = euler_phi(m)
+    elements = [
+        zero(m),
+        rational(Fraction(-3, 2), m),
+        _untagged(root_of_unity(m, m - 1)),
+        Cyclotomic(m, {e: Fraction(e + 2, e + 1) for e in range(phi)}),
+        Cyclotomic(m, {0: 1}),
+    ]
+    expected = [(x.conductor, dict(x._c)) for x in elements]
+
+    def refuse(self, conductor):
+        raise AssertionError(f"embed({conductor}) called")
+
+    monkeypatch.setattr(Cyclotomic, "embed", refuse)
+    u = one()
+    for x, (conductor, coeffs) in zip(elements, expected):
+        for product in (u * x, x * u):
+            assert product._k is None
+            assert (product.conductor, product._c) == (conductor, coeffs)
+        is_one = coeffs == {0: 1}
+        assert (u == x) is (x == u) is is_one
+    monkeypatch.undo()
+    # a unit of larger conductor still lifts the other operand to it
+    x = rational(Fraction(5, 3))
+    for product in (one(m) * x, x * one(m)):
+        assert product.conductor == m and product == rational(Fraction(5, 3), m)
