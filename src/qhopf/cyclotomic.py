@@ -13,11 +13,19 @@ conductors m1 and m2 is an entry of conductor lcm(m1, m2).  Every other
 element takes the power-basis path, which stays the reference: an entry and an
 untagged element with the same coefficients are equal.
 
-Mixed conductors are handled by embedding both operands into the field of
-conductor lcm(m1, m2) before operating.  Division multiplies by the inverse:
-a rational multiple of a root of unity zeta_m^k, found in a per-conductor
-table of the canonical forms of the m roots, inverts by negating k; any other
-nonzero element inverts by the extended Euclidean algorithm against Phi_m.
+Products take one of four routes.  Two entries add exponents.  An entry
+zeta^k times an untagged element maps each term z^e to the canonical form of
+z^(e + k).  An int or a Fraction scales the coefficients.  Two untagged
+elements are written as integer numerators over a common denominator each,
+convolved, reduced modulo Phi_m once per product and divided by the product
+of the denominators once per coefficient.
+
+Mixed conductors are handled by embedding into the field of conductor
+lcm(m1, m2) before operating.  Division multiplies by the inverse: a rational
+multiple of a root of unity zeta_m^k, found in a per-conductor table of the
+canonical forms of the m roots, inverts by negating k; any other nonzero
+element inverts by a fraction-free extended Euclidean algorithm against Phi_m
+on its integer numerators.
 """
 
 from __future__ import annotations
@@ -141,32 +149,139 @@ def _root_table(m: int) -> dict[frozenset, tuple[int, object]]:
     return table
 
 
+def _numerators(coeffs: dict) -> tuple[int, dict]:
+    """A common denominator d of the coefficients and their numerators over
+    d, as (d, {exponent: integer numerator}); the coefficients themselves
+    when they are all ints."""
+    den = 1
+    for v in coeffs.values():
+        if v.__class__ is Fraction:
+            d = v._denominator
+            if den % d:
+                den = den * d // gcd(den, d)
+    if den == 1:
+        return 1, coeffs
+    return den, {
+        e: v._numerator * (den // v._denominator) if v.__class__ is Fraction else v * den
+        for e, v in coeffs.items()
+    }
+
+
+def _over(m: int, nums: list, den: int) -> "Cyclotomic":
+    """The element of conductor m with power-basis coefficients nums[e] / den
+    for e < phi(m), stored as ints where they are integral."""
+    clean = {}
+    if den == 1:
+        for e in range(euler_phi(m)):
+            v = nums[e]
+            if v:
+                clean[e] = v
+    else:
+        for e in range(euler_phi(m)):
+            v = nums[e]
+            if v:
+                q, r = divmod(v, den)
+                clean[e] = Fraction(v, den) if r else q
+    self = object.__new__(Cyclotomic)
+    self.conductor = m
+    self._c = clean
+    self._k = None
+    return self
+
+
+def _root_times(m1: int, k: int, x: "Cyclotomic") -> "Cyclotomic":
+    """zeta_m1^k times the untagged element x, in the conductor lcm(m1, m(x)).
+
+    Each term z^e of x (lifted to that conductor) goes to the reduction row
+    of z^(e + k), with k rescaled to the common conductor.
+    """
+    m = x.conductor
+    if m % m1:
+        m = lcm(m1, m)
+        x = x.embed(m)
+    if not k:
+        return x
+    k *= m // m1
+    rows = _reduction_rows(m)
+    den, nums = _numerators(x._c)
+    out = [0] * euler_phi(m)
+    for e, v in nums.items():
+        for e2, c2 in rows[(e + k) % m].items():
+            out[e2] += v * c2
+    return _over(m, out, den)
+
+
+def _convolve(a: "Cyclotomic", b: "Cyclotomic") -> "Cyclotomic":
+    """The product of two untagged elements of one conductor m.
+
+    Both are written as integer numerators over a common denominator each,
+    convolved into 2 phi - 1 slots, and the top phi - 1 slots are reduced
+    once each, from the top, by the canonical forms of z^t; the product of
+    the two denominators divides each coefficient once at the end.
+    """
+    m = a.conductor
+    phi = euler_phi(m)
+    da, na = _numerators(a._c)
+    db, nb = _numerators(b._c)
+    out = [0] * (2 * phi - 1)
+    pairs = nb.items()
+    for e1, v1 in na.items():
+        for e2, v2 in pairs:
+            out[e1 + e2] += v1 * v2
+    rows = _reduction_rows(m)
+    for t in range(2 * phi - 2, phi - 1, -1):
+        c = out[t]
+        if c:
+            for e2, c2 in rows[t].items():
+                out[e2] += c * c2
+    return _over(m, out, da * db)
+
+
 def _euclid_inverse(coeffs: dict, m: int) -> dict[int, Fraction]:
     """Power-basis coefficients of s with s * x = 1 mod Phi_m, where x is the
     nonzero element with the given coefficients.
 
-    Extended Euclid over Q on (Phi_m, x), keeping each remainder monic so the
-    division steps need no inversions; Phi_m is irreducible, so the last
-    nonzero remainder is the constant 1.
+    x = a / den with a an integer polynomial.  Extended Euclid runs on
+    (Phi_m, a) over the integers: each step is the pseudo-division of the
+    previous remainder, scaled by lead^(shift + 1), by the current one, where
+    every quotient coefficient divides exactly; each new remainder and its
+    cofactor of a are divided by their common gcd.  Phi_m is irreducible, so
+    the last nonzero remainder is a constant c = s * a mod Phi_m, and
+    x^(-1) = den * s / c.
     """
-    # Fractions throughout: an int entry of Phi_m that no division step
-    # touches would make v / lead a float
-    r0 = [Fraction(v) for v in cyclotomic_polynomial(m)]
-    r1 = [Fraction(coeffs.get(e, 0)) for e in range(max(coeffs) + 1)]
-    lead = r1[-1]
-    r1 = [v / lead for v in r1]
-    s0: list[Fraction] = []
-    s1 = [1 / lead]
+    den, nums = _numerators(coeffs)
+    r0 = list(cyclotomic_polynomial(m))
+    r1 = [nums.get(e, 0) for e in range(max(nums) + 1)]
+    s0: list[int] = []
+    s1 = [1]
     while len(r1) > 1:
-        quot, rem = _poly_divmod(r0, r1)
+        lead = r1[-1]
+        deg = len(r1) - 1
+        shift = len(r0) - len(r1)
+        scale = lead ** (shift + 1)
+        rem = [v * scale for v in r0]
+        quot = [0] * (shift + 1)
+        for i in range(shift, -1, -1):
+            c = rem[i + deg]
+            if c:
+                c //= lead
+                quot[i] = c
+                for j, v in enumerate(r1):
+                    if v:
+                        rem[i + j] -= c * v
+        del rem[deg:]
         while not rem[-1]:
             rem.pop()
-        # s0 - quot * s1, the cofactor of x in rem
-        s = [a - b for a, b in zip_longest(s0, _poly_mul(quot, s1), fillvalue=0)]
-        lead = rem[-1]
-        r0, r1 = r1, [v / lead for v in rem]
-        s0, s1 = s1, [v / lead for v in s]
-    return {e: v for e, v in enumerate(s1) if v}
+        # scale * s0 - quot * s1, the cofactor of a in rem
+        s = [scale * u - w for u, w in zip_longest(s0, _poly_mul(quot, s1), fillvalue=0)]
+        g = gcd(*rem, *s)
+        if g != 1:
+            rem = [v // g for v in rem]
+            s = [v // g for v in s]
+        r0, r1 = r1, rem
+        s0, s1 = s1, s
+    c = r1[0]
+    return {e: Fraction(den * v, c) for e, v in enumerate(s1) if v}
 
 
 def _norm_val(v):
@@ -320,13 +435,15 @@ class Cyclotomic:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _lifted(self, m: int) -> "Cyclotomic":
-        """self in the field of conductor lcm(m, self.conductor)."""
-        if self.conductor % m == 0:
-            return self
-        return self.embed(lcm(m, self.conductor))
-
     def __mul__(self, other):
+        """Product, by one of four routes.
+
+        Two root-table entries multiply by adding exponents.  An entry
+        zeta^k times an untagged element sends each term z^e to the
+        canonical form of z^(e + k).  An int or a Fraction scales each
+        coefficient.  Two untagged elements convolve their integer
+        numerators (``_convolve``).  Mixed conductors meet in their lcm.
+        """
         cls = other.__class__
         if cls is Cyclotomic:
             k1, k2 = self._k, other._k
@@ -338,45 +455,30 @@ class Cyclotomic:
                         return _roots(m1)[(k1 + k2) % m1]
                     m = lcm(m1, m2)
                     return _roots(m)[(k1 * (m // m1) + k2 * (m // m2)) % m]
-                if k1 == 0:
-                    return other._lifted(m1)
-            elif k2 == 0:
-                return self._lifted(other.conductor)
-        elif cls is int or cls is Fraction:
+                return _root_times(m1, k1, other)
+            if k2 is not None:
+                return _root_times(other.conductor, k2, self)
+            if other.conductor == self.conductor:
+                return _convolve(self, other)
+            return _convolve(*self._pair(other))
+        if cls is int or cls is Fraction:
             if not other:
                 return Cyclotomic._make(self.conductor, {})
             return Cyclotomic._make(
                 self.conductor, {e: v * other for e, v in self._c.items()}
             )
-        if cls is Cyclotomic and other.conductor == self.conductor:
-            a, b = self, other
-        else:
-            a, b = self._pair(other)
-            if a is None:
-                return NotImplemented
-        phi = euler_phi(a.conductor)
-        rows = _reduction_rows(a.conductor)
-        acc: dict[int, object] = {}
-        get = acc.get
-        for e1, v1 in a._c.items():
-            for e2, v2 in b._c.items():
-                t = e1 + e2
-                v = v1 * v2
-                if t < phi:
-                    acc[t] = get(t, 0) + v
-                else:
-                    for e3, c3 in rows[t].items():
-                        acc[e3] = get(e3, 0) + v * c3
-        return Cyclotomic._make(a.conductor, acc)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse.
 
-        A multiple c * zeta_m^k of a root of unity inverts to
-        (1/c) * zeta_m^(-k); any other nonzero element inverts by the
-        extended Euclidean algorithm against Phi_m.
+        A root-table entry inverts by negating its exponent.  A multiple
+        c * zeta_m^k of a root of unity, found in the root table, inverts to
+        (1/c) * zeta_m^(-k).  Any other nonzero element inverts by the
+        fraction-free extended Euclidean algorithm against Phi_m on its
+        integer numerators (``_euclid_inverse``).
         """
         m = self.conductor
         if self._k is not None:

@@ -44,7 +44,6 @@ class TaftAlgebra:
         self.Q = self.q**n
 
         self._q_pows = [root_of_unity(m, (exponent * k) % m) for k in range(m)]
-        self._inv_m = Fraction(1, m)
 
         self.H = self._monomial_descriptor()
         self.H_idem = self._idempotent_descriptor()
@@ -213,22 +212,6 @@ class TaftAlgebra:
         """a^i x^j as a rank-1 element of A."""
         return self.A.basis_tensor(((i % self.n) * self.m + j,), coeff)
 
-    def idempotent(self, z: int) -> Tensor:
-        """1_z = (1/n^2) sum_t q^(-z t) g^t, satisfying g 1_z = q^z 1_z."""
-        z %= self.m
-        terms = {
-            (t * self.m,): self._q_pows[(-z * t) % self.m] * self._inv_m
-            for t in range(self.m)
-        }
-        return Tensor(self.H, 1, terms)
-
-    def bold_idempotent(self, s: int) -> Tensor:
-        """Aggregated idempotent sum_i 1_{s+ni}; lies in the span of a-powers."""
-        acc = Tensor(self.H, 1, {})
-        for i in range(self.n):
-            acc = acc + self.idempotent(s % self.n + self.n * i)
-        return acc
-
     # -- Hopf structure maps  ---------------------------------------------------
 
     def delta_basis(self, idx: int) -> Tensor:
@@ -260,13 +243,6 @@ class TaftAlgebra:
 
     def epsilon_basis(self, idx: int) -> Cyclotomic:
         return cy_one() if idx % self.m == 0 else cy_zero()
-
-    def epsilon(self, u: Tensor) -> Cyclotomic:
-        acc = cy_zero()
-        for (idx,), c in u.terms.items():
-            if idx % self.m == 0:
-                acc = acc + c
-        return acc
 
     def antipode_basis(self, idx: int) -> Tensor:
         """S(g^i x^j) = S(x)^j S(g)^i with S(g) = g^(-1), S(x) = -x g^(-1)."""

@@ -4,12 +4,42 @@ The checks compare the twisted maps in the aggregated-idempotent frame of A.
 Before that they went through monomial coordinates of H: the literal twist
 computation was taken back to monomials with ``from_idem``, frame elements
 reached H through A's monomials and the inclusion a -> g^n, and the closed
-forms were sums of Fraction-dense idempotents.  Those maps live on here, and
-the tests require the frame to agree with them.
+forms were sums of Fraction-dense idempotents.  Those maps live on here, with
+the idempotents and the counit on monomial coordinates, and the tests require
+the frame to agree with them.
 """
 
+from fractions import Fraction
+
 from qhopf.algebra import Tensor, apply_on_factor, invert
+from qhopf.cyclotomic import zero as cy_zero
 from qhopf.twist import antipode_elements, build_twist
+
+
+def idempotent(t, z):
+    """1_z = (1/n^2) sum_k q^(-z k) g^k in the monomial basis of H,
+    satisfying g 1_z = q^z 1_z."""
+    z %= t.m
+    inv_m = Fraction(1, t.m)
+    terms = {(k * t.m,): t.q_power(-z * k) * inv_m for k in range(t.m)}
+    return Tensor(t.H, 1, terms)
+
+
+def bold_idempotent(t, s):
+    """Aggregated idempotent sum_i 1_{s+ni}; lies in the span of a-powers."""
+    acc = Tensor(t.H, 1, {})
+    for i in range(t.n):
+        acc = acc + idempotent(t, s % t.n + t.n * i)
+    return acc
+
+
+def epsilon(t, u):
+    """Counit of a rank-1 element of H on monomial coordinates."""
+    acc = cy_zero()
+    for (idx,), c in u.terms.items():
+        if idx % t.m == 0:
+            acc = acc + c
+    return acc
 
 
 def embed_sub(t, u):
@@ -58,8 +88,8 @@ def coproduct_x_reference_monomial(t):
     aggregated idempotents expanded over the group elements of H."""
     K = Tensor(t.H, 1, {})
     for y in range(t.n):
-        K = K + t.bold_idempotent(y).scale(t.q_power(y))
-    b0 = t.bold_idempotent(0)
+        K = K + bold_idempotent(t, y).scale(t.q_power(y))
+    b0 = bold_idempotent(t, 0)
     term1 = t.x.tensor(K)
     term2 = t.unit.tensor((t.unit - b0) * t.x)
     term3 = t.monomial(-t.n, 0).tensor(b0 * t.x)
@@ -70,5 +100,5 @@ def antipode_x_reference_monomial(t):
     """-x sum_{z<n} q^(n-z) 1_z over the group elements of H."""
     acc = Tensor(t.H, 1, {})
     for z in range(t.n):
-        acc = acc + t.bold_idempotent(z).scale(t.q_power(t.n - z))
+        acc = acc + bold_idempotent(t, z).scale(t.q_power(t.n - z))
     return (t.x * acc).scale(-1)

@@ -1,6 +1,8 @@
 """Exactness and canonicality of the cyclotomic arithmetic layer."""
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,10 @@ from hypothesis import strategies as st
 
 from qhopf.cyclotomic import (
     Cyclotomic,
+    _euclid_inverse,
+    _poly_divmod,
+    _poly_mul,
+    _reduction_rows,
     cyclotomic_polynomial,
     euler_phi,
     one,
@@ -366,3 +372,163 @@ def test_unit_entry_times_untagged_returns_the_other_operand(m, monkeypatch):
     x = rational(Fraction(5, 3))
     for product in (one(m) * x, x * one(m)):
         assert product.conductor == m and product == rational(Fraction(5, 3), m)
+
+
+# -- differential oracles of the integer-numerator routes ---------------------
+
+
+def _oracle_mul(a, b):
+    """The power-basis product as it was before integer numerators: both
+    operands embedded into the lcm conductor, rational coefficients
+    multiplied pair by pair, and each pair reduced modulo Phi_m on its own."""
+    m = lcm(a.conductor, b.conductor)
+    a, b = a.embed(m), b.embed(m)
+    phi = euler_phi(m)
+    rows = _reduction_rows(m)
+    acc = {}
+    get = acc.get
+    for e1, v1 in a._c.items():
+        for e2, v2 in b._c.items():
+            t = e1 + e2
+            v = v1 * v2
+            if t < phi:
+                acc[t] = get(t, 0) + v
+            else:
+                for e3, c3 in rows[t].items():
+                    acc[e3] = get(e3, 0) + v * c3
+    return Cyclotomic(m, acc)
+
+
+def _oracle_euclid(coeffs, m):
+    """Extended Euclid over Q on (Phi_m, x), each remainder kept monic: the
+    inversion before the fraction-free route."""
+    r0 = [Fraction(v) for v in cyclotomic_polynomial(m)]
+    r1 = [Fraction(coeffs.get(e, 0)) for e in range(max(coeffs) + 1)]
+    lead = r1[-1]
+    r1 = [v / lead for v in r1]
+    s0 = []
+    s1 = [1 / lead]
+    while len(r1) > 1:
+        quot, rem = _poly_divmod(r0, r1)
+        while not rem[-1]:
+            rem.pop()
+        s = [a - b for a, b in zip_longest(s0, _poly_mul(quot, s1), fillvalue=0)]
+        lead = rem[-1]
+        r0, r1 = r1, [v / lead for v in rem]
+        s0, s1 = s1, [v / lead for v in s]
+    return {e: v for e, v in enumerate(s1) if v}
+
+
+def _assert_canonical(x):
+    # zeros dropped, integral coefficients stored as ints, never as
+    # Fractions with denominator 1
+    for v in x._c.values():
+        assert v
+        assert v.__class__ is int or (v.__class__ is Fraction and v.denominator != 1), v
+
+
+def _assert_matches_oracle(product, a, b):
+    expected = _oracle_mul(a, b)
+    assert product._k is None
+    assert (product.conductor, product._c) == (expected.conductor, expected._c)
+    _assert_canonical(product)
+
+
+mixed_rat = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=12),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.sampled_from(INVERSE_CONDUCTORS),
+    ca=st.lists(mixed_rat, min_size=20, max_size=20),
+    cb=st.lists(mixed_rat, min_size=20, max_size=20),
+    sparse=st.integers(1, 20),
+)
+def test_dense_product_matches_oracle(m, ca, cb, sparse):
+    phi = euler_phi(m)
+    a = _element(m, ca[:phi])
+    b = _element(m, cb[:phi])
+    for x, y in ((a, b), (b, a), (a, a), (a, _element(m, cb[:sparse][:phi]))):
+        _assert_matches_oracle(x * y, x, y)
+
+
+@pytest.mark.parametrize("m1,m2", [(1, 36), (4, 36), (9, 36), (3, 25), (25, 5), (2, 3)])
+def test_untagged_product_across_conductors_matches_oracle(m1, m2):
+    a = Cyclotomic(m1, {e: Fraction(e - 2, e + 3) for e in range(euler_phi(m1))})
+    b = Cyclotomic(m2, {e: Fraction(3 * e + 1, 2) for e in range(euler_phi(m2))})
+    _assert_matches_oracle(a * b, a, b)
+    _assert_matches_oracle(b * a, b, a)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.sampled_from(INVERSE_CONDUCTORS),
+    coeffs=st.lists(mixed_rat, min_size=20, max_size=20),
+)
+def test_euclid_inverse_matches_oracle(m, coeffs):
+    x = _element(m, coeffs[: euler_phi(m)])
+    if len(x._c) < 2:
+        return
+    got = _euclid_inverse(x._c, m)
+    assert all(v.__class__ is Fraction for v in got.values())
+    inv = Cyclotomic.from_terms(m, got)
+    assert inv._c == Cyclotomic.from_terms(m, _oracle_euclid(x._c, m))._c
+    _assert_canonical(inv)
+    assert (x * inv).is_one()
+
+
+def _untagged_samples(m):
+    phi = euler_phi(m)
+    return [
+        zero(m),
+        rational(Fraction(-3, 2), m),
+        rational(7, m),
+        Cyclotomic(m, {phi - 1: Fraction(5, 4)}),
+        _untagged(root_of_unity(m, m - 1)),
+        Cyclotomic(m, {e: Fraction(e + 2, e + 1) for e in range(phi)}),
+        Cyclotomic(m, {e: (-1) ** e * (e + 1) for e in range(phi)}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "m1,m2",
+    [(1, m) for m in INVERSE_CONDUCTORS]
+    + [(m, 1) for m in INVERSE_CONDUCTORS]
+    + [(4, 36), (9, 36)],
+)
+def test_entry_times_untagged_matches_oracle(m1, m2):
+    xs = _untagged_samples(m2)
+    for k in range(m1):
+        r = root_of_unity(m1, k)
+        for x in xs:
+            _assert_matches_oracle(r * x, r, x)
+            _assert_matches_oracle(x * r, x, r)
+
+
+@pytest.mark.parametrize("m", INVERSE_CONDUCTORS)
+def test_cancelling_products_match_oracle(m):
+    phi = euler_phi(m)
+    z = _untagged(root_of_unity(m, 1))
+    for d in (1, 3, 12):
+        # numerators over d against numerators times d: integral products
+        u = Cyclotomic(m, {e: Fraction(e + 1, d) for e in range(phi)})
+        v = Cyclotomic(m, {e: d * (2 - e) for e in range(phi)})
+        _assert_matches_oracle(u * v, u, v)
+        assert all(c.__class__ is int for c in (u * v)._c.values())
+        # (c + z)(c - z) = c^2 - z^2, the z terms cancel
+        c = Fraction(1, d)
+        p = (z + c) * (rational(c, m) - z)
+        _assert_matches_oracle(p, z + c, rational(c, m) - z)
+        assert p == rational(c * c, m) - z * z
+    for x in _untagged_samples(m)[1:]:
+        # a product that cancels down to the unit
+        inv = x.inverse()
+        p = x * inv
+        _assert_matches_oracle(p, x, inv)
+        assert p._c == {0: 1}
+        # and one that cancels to zero
+        _assert_matches_oracle(x * (inv - inv), x, inv - inv)
+        assert (x * (inv - inv))._c == {}

@@ -8,7 +8,7 @@ from qhopf.algebra import Tensor, apply_on_factor
 from qhopf.cyclotomic import one as cy_one, zero as cy_zero
 from qhopf.taft import TaftAlgebra
 
-from monomial_route import embed_sub
+from monomial_route import bold_idempotent, embed_sub, epsilon, idempotent
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +88,9 @@ def test_coassociativity_exhaustive_small(t2, t3):
 
 
 def test_counit_values(t3):
-    assert t3.epsilon(t3.unit) == cy_one()
-    assert t3.epsilon(t3.monomial(3, 0)) == cy_one()
-    assert t3.epsilon(t3.monomial(1, 1)) == cy_zero()
+    assert epsilon(t3, t3.unit) == cy_one()
+    assert epsilon(t3, t3.monomial(3, 0)) == cy_one()
+    assert epsilon(t3, t3.monomial(1, 1)) == cy_zero()
 
 
 def test_counit_law_exhaustive(t2, t3):
@@ -140,43 +140,43 @@ def test_idempotents_resolution_of_identity(t2, t3):
     for t in (t2, t3):
         total = Tensor(t.H, 1, {})
         for z in range(t.m):
-            total = total + t.idempotent(z)
+            total = total + idempotent(t, z)
         assert total == t.unit
 
 
 def test_idempotents_orthogonal(t2):
     for z in range(4):
         for y in range(4):
-            p = t2.idempotent(z) * t2.idempotent(y)
-            assert p == (t2.idempotent(z) if z == y else Tensor(t2.H, 1, {}))
+            p = idempotent(t2, z) * idempotent(t2, y)
+            assert p == (idempotent(t2, z) if z == y else Tensor(t2.H, 1, {}))
 
 
 def test_idempotent_eigenvalue(t2, t3):
     for t in (t2, t3):
         for z in range(t.m):
-            assert t.g * t.idempotent(z) == t.idempotent(z).scale(t.q_power(z))
+            assert t.g * idempotent(t, z) == idempotent(t, z).scale(t.q_power(z))
 
 
 def test_idempotent_commutation_with_x(t2, t3):
     # 1_w x = x 1_{w-1} for all w
     for t in (t2, t3):
         for w in range(t.m):
-            assert t.idempotent(w) * t.x == t.x * t.idempotent(w - 1)
+            assert idempotent(t, w) * t.x == t.x * idempotent(t, w - 1)
 
 
 def test_bold_idempotents(t3):
     total = Tensor(t3.H, 1, {})
     for s in range(3):
-        total = total + t3.bold_idempotent(s)
+        total = total + bold_idempotent(t3, s)
     assert total == t3.unit
     # a acts on bold 1_s by Q^s
-    assert t3.a * t3.bold_idempotent(1) == t3.bold_idempotent(1).scale(t3.Q)
+    assert t3.a * bold_idempotent(t3, 1) == bold_idempotent(t3, 1).scale(t3.Q)
     # bold 1_0 x = x bold 1_{n-1}
-    assert t3.bold_idempotent(0) * t3.x == t3.x * t3.bold_idempotent(2)
+    assert bold_idempotent(t3, 0) * t3.x == t3.x * bold_idempotent(t3, 2)
     # bold idempotents lie in the span of a-powers
     a_powers = {(t3.n * i) * t3.m for i in range(t3.n)}
     for s in range(3):
-        assert t3.bold_idempotent(s).in_span(a_powers)
+        assert bold_idempotent(t3, s).in_span(a_powers)
 
 
 def test_delta_idem_table_matches_structure(t2, t3):
@@ -208,7 +208,7 @@ def test_idem_antipode_and_counit_match_monomial_route(t2, t3):
         for idx in range(t.H_idem.dim):
             mono = t.from_idem(t.H_idem.basis_tensor((idx,)))
             assert t.antipode_idem_basis(idx) == t.to_idem(t.antipode(mono))
-            assert t.epsilon_idem_basis(idx) == t.epsilon(mono)
+            assert t.epsilon_idem_basis(idx) == epsilon(t, mono)
 
 
 def test_convert_drops_cancelled_terms_between_slots(monkeypatch):
