@@ -64,19 +64,26 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder of polynomials, constant first; den must be monic."""
-    assert den[-1] == 1
-    num = list(num)
-    qlen = len(num) - len(den) + 1
-    quot = [0] * qlen
-    for i in reversed(range(qlen)):
-        c = num[i + len(den) - 1]
+def _poly_divmod(num: list, den: list) -> tuple[list, list, int]:
+    """Pseudo-quotient and pseudo-remainder of integer polynomials, constant
+    first, as (quot, rem, scale): scale * num = quot * den + rem with
+    scale = lead(den)^(deg num - deg den + 1), so every quotient coefficient
+    divides exactly.  For a monic den, scale is 1 and this is plain division."""
+    lead = den[-1]
+    deg = len(den) - 1
+    shift = len(num) - len(den)
+    scale = lead ** (shift + 1)
+    rem = [v * scale for v in num]
+    quot = [0] * (shift + 1)
+    for i in range(shift, -1, -1):
+        c = rem[i + deg]
         if c:
+            c //= lead
             quot[i] = c
-            for k, dc in enumerate(den):
-                num[i + k] -= c * dc
-    return quot, num[: len(den) - 1]
+            for j, v in enumerate(den):
+                if v:
+                    rem[i + j] -= c * v
+    return quot, rem[:deg], scale
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +104,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _poly_divmod(num, den)
+    quot, rem, _ = _poly_divmod(num, den)
     assert not any(rem), f"inexact cyclotomic division for m={m}"
     return tuple(quot)
 
@@ -255,21 +262,7 @@ def _euclid_inverse(coeffs: dict, m: int) -> dict[int, Fraction]:
     s0: list[int] = []
     s1 = [1]
     while len(r1) > 1:
-        lead = r1[-1]
-        deg = len(r1) - 1
-        shift = len(r0) - len(r1)
-        scale = lead ** (shift + 1)
-        rem = [v * scale for v in r0]
-        quot = [0] * (shift + 1)
-        for i in range(shift, -1, -1):
-            c = rem[i + deg]
-            if c:
-                c //= lead
-                quot[i] = c
-                for j, v in enumerate(r1):
-                    if v:
-                        rem[i + j] -= c * v
-        del rem[deg:]
+        quot, rem, scale = _poly_divmod(r0, r1)
         while not rem[-1]:
             rem.pop()
         # scale * s0 - quot * s1, the cofactor of a in rem
