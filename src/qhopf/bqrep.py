@@ -284,23 +284,26 @@ def check_bq_semisimple(n: int, Q_exponent: int = 1) -> str | None:
             return f"coincident spectra at q-exponent {D.q_exponent}"
         seen.append(key)
 
-    # (iii) the n^3 products a^i xi^j eta^k have full rank over the block sum
-    powers = [
-        [[mat_pow(mat, e) for e in range(n)] for mat in (D.a_mat, D.xi_mat, D.eta_mat)]
-        for D in modules
-    ]
+    # (iii) the n^3 products a^i xi^j eta^k have full rank over the block sum;
+    # xi^j eta^k is formed once per module, indexed by j * n + k
+    a_pows = []
+    shifts = []
+    for D in modules:
+        a_pows.append([mat_pow(D.a_mat, e) for e in range(n)])
+        xi_pows = [mat_pow(D.xi_mat, e) for e in range(n)]
+        eta_pows = [mat_pow(D.eta_mat, e) for e in range(n)]
+        shifts.append([mat_mul(x, y) for x in xi_pows for y in eta_pows])
     rows = []
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = {}
-                for b, (a_pows, xi_pows, eta_pows) in enumerate(powers):
-                    mat = mat_mul(a_pows[i], mat_mul(xi_pows[j], eta_pows[k]))
-                    for r in range(n):
-                        for c in range(n):
-                            if not mat[r][c].is_zero():
-                                row[b * n * n + r * n + c] = mat[r][c]
-                rows.append(row)
+        for jk in range(n * n):
+            row = {}
+            for b in range(n):
+                mat = mat_mul(a_pows[b][i], shifts[b][jk])
+                for r in range(n):
+                    for c in range(n):
+                        if not mat[r][c].is_zero():
+                            row[b * n * n + r * n + c] = mat[r][c]
+            rows.append(row)
     rank = sparse_rank(rows)
     if rank != n**3:
         return f"span of monomial operators has rank {rank}, expected {n**3}"

@@ -368,6 +368,27 @@ class Cyclotomic:
     def __bool__(self) -> bool:
         return bool(self._c)
 
+    def residue(self, p: int, powers: tuple[int, ...]) -> int | None:
+        """The image in F_p under zeta_L -> w, where powers[t] = w^t mod p for
+        0 <= t < L, w has order exactly L and L is a multiple of the conductor;
+        None when a coefficient denominator is divisible by p.
+
+        On the elements whose coefficient denominators are prime to p this is
+        a ring homomorphism: zeta_m goes to w^(L/m), a root of Phi_m mod p.
+        """
+        step = len(powers) // self.conductor
+        if self._k is not None:
+            return powers[self._k * step]
+        acc = 0
+        for e, v in self._c.items():
+            if v.__class__ is Fraction:
+                d = v._denominator
+                if not d % p:
+                    return None
+                v = v._numerator * pow(d, -1, p)
+            acc += v * powers[e * step]
+        return acc % p
+
     # -- conductor handling ------------------------------------------------
 
     def embed(self, m: int) -> "Cyclotomic":

@@ -1,12 +1,17 @@
 """Small exact linear algebra over cyclotomic scalars.
 
 Dense matrices are lists of row lists; sparse rows are dicts keyed by column.
-Everything is Gaussian elimination with exact division and no pivot tolerance:
-one dense Gauss-Jordan routine, :func:`solve`, for matrices, and
-:func:`sparse_rank` for sparse row families.
+Everything is exact, with no pivot tolerance: one dense Gauss-Jordan routine,
+:func:`solve`, for matrices, and :func:`sparse_rank` for sparse row families.
+``sparse_rank`` first reduces the rows modulo a prime p = 1 (mod L), sending
+zeta_L to an element of order L in F_p, and returns the modular rank when it
+reaches min(#rows, #columns); otherwise it eliminates over Q(zeta).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import isqrt, lcm
 
 from .cyclotomic import Cyclotomic, one, zero
 
@@ -90,7 +95,72 @@ def mat_inverse(a):
 
 
 def sparse_rank(rows: list[dict[int, Cyclotomic]]) -> int:
-    """Rank of a sparse row family, by elimination on dict rows."""
+    """Rank of a sparse row family.
+
+    zeta_L -> w, for w of order L modulo a prime p = 1 (mod L), is a ring
+    homomorphism onto F_p from the elements of Q(zeta_L) whose coefficient
+    denominators are prime to p, so rank mod p <= rank <= min(#nonzero rows,
+    #columns).  When the modular rank reaches that bound it is the rank;
+    otherwise the rows are eliminated over Q(zeta) (:func:`_eliminate_rank`).
+    """
+    work = [r for r in rows if r]
+    bound = min(len(work), len({c for r in work for c in r}))
+    if _modular_rank(work) == bound:
+        return bound
+    return _eliminate_rank(work)
+
+
+@lru_cache(maxsize=None)
+def _prime_powers(L: int) -> tuple[int, tuple[int, ...]]:
+    """The least prime p = 1 (mod L) above 2^30, and the powers w^t mod p
+    (0 <= t < L) of an element w of order exactly L."""
+    p = L * (2**30 // L + 1) + 1
+    # the Fermat test only skips composites (and every even p) quickly;
+    # trial division by the odd numbers up to sqrt(p) is the proof
+    while pow(2, p - 1, p) != 1 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p += L
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // L, p)
+        powers = tuple(pow(w, t, p) for t in range(L))
+        if 1 not in powers[1:]:
+            return p, powers
+        g += 1
+
+
+def _modular_rank(rows: list[dict[int, Cyclotomic]]) -> int | None:
+    """Rank of the rows' images in F_p under zeta_L -> w (:func:`_prime_powers`,
+    L the lcm of the entries' conductors), by elimination mod p; None when a
+    coefficient denominator is divisible by p."""
+    p, powers = _prime_powers(lcm(*(v.conductor for r in rows for v in r.values())))
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {}
+        for c, v in row.items():
+            x = v.residue(p, powers)
+            if x is None:
+                return None
+            if x:
+                r[c] = x
+        while r:
+            col = min(r)
+            if col in pivots:
+                f = r[col]
+                for c, v in pivots[col].items():
+                    nv = (r.get(c, 0) - f * v) % p
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+            else:
+                inv = pow(r[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in r.items()}
+                break
+    return len(pivots)
+
+
+def _eliminate_rank(rows: list[dict[int, Cyclotomic]]) -> int:
+    """Rank of a sparse row family, by elimination on dict rows over Q(zeta)."""
     work = [dict(r) for r in rows if r]
     pivots: dict[int, dict[int, Cyclotomic]] = {}
     for r in work:

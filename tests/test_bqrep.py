@@ -2,6 +2,7 @@
 
 import pytest
 
+from qhopf import bqrep, linalg
 from qhopf.bqrep import (
     DegreeOneModule,
     check_bq_relations,
@@ -15,7 +16,7 @@ from qhopf.bqrep import (
     xi_eta_operators,
 )
 from qhopf.cyclotomic import one as cy_one, root_of_unity, zero as cy_zero
-from qhopf.linalg import mat_eq, mat_mul, sparse_rank
+from qhopf.linalg import _eliminate_rank, identity_matrix, mat_eq, mat_mul, sparse_rank
 from qhopf.twist import build_quasi_hopf
 
 
@@ -137,10 +138,74 @@ def test_corner_diag_values():
     assert em1[0][0] == Q and em1[1][1] == cy_one() and em1[2][2] == cy_one()
 
 
-@pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (6, 1), (6, 5)])
 def test_bq_semisimple(n, t):
     witness = check_bq_semisimple(n, t)
     assert witness is None, witness
+
+
+def test_bq_semisimple_full_rank_on_the_certificate_alone(monkeypatch):
+    # part (iii) is the only family of n^3 rows; part (i)'s commutant systems
+    # have rank n^2 - 1 below their bound and are eliminated over Q(zeta)
+    n = 5
+    eliminate = linalg._eliminate_rank
+    sizes = []
+
+    def guarded(rows):
+        assert len(rows) != n**3, "part (iii) reached elimination over Q(zeta)"
+        sizes.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(linalg, "_eliminate_rank", guarded)
+    assert check_bq_semisimple(n, 1) is None
+    assert len(sizes) == n
+
+
+def _record_ranks(monkeypatch):
+    """Let check_bq_semisimple call sparse_rank through a recorder of its row
+    families."""
+    families = []
+
+    def recorder(rows):
+        families.append(rows)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(bqrep, "sparse_rank", recorder)
+    return families
+
+
+def _patched_modules(monkeypatch, a_identity, eta_is_xi):
+    closed = bqrep.vq_module
+
+    def module(n, exponent):
+        D = closed(n, exponent)
+        a_mat = identity_matrix(n) if a_identity else D.a_mat
+        eta_mat = D.xi_mat if eta_is_xi else D.eta_mat
+        return DegreeOneModule(n, D.q_exponent, a_mat, D.xi_mat, eta_mat)
+
+    monkeypatch.setattr(bqrep, "vq_module", module)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_bq_semisimple_reports_commutant_dimension(monkeypatch, n):
+    # with a = 1 and eta = xi the commutant is the n polynomials in xi
+    _patched_modules(monkeypatch, a_identity=True, eta_is_xi=True)
+    families = _record_ranks(monkeypatch)
+    witness = check_bq_semisimple(n, 1)
+    dim = n * n - _eliminate_rank(families[-1])
+    assert dim == n
+    assert witness == f"commutant of the module at q-exponent 1 has dimension {dim}"
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_bq_semisimple_reports_deficient_rank(monkeypatch, n):
+    # with a = 1 the n^3 products collapse onto the n^2 products xi^j eta^k
+    _patched_modules(monkeypatch, a_identity=True, eta_is_xi=False)
+    families = _record_ranks(monkeypatch)
+    witness = check_bq_semisimple(n, 1)
+    rank = _eliminate_rank(families[-1])
+    assert rank == n * n
+    assert witness == f"span of monomial operators has rank {rank}, expected {n**3}"
 
 
 def test_bq_semisimple_rejects_imprimitive():
