@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero as cy_zero
 
@@ -150,9 +150,6 @@ class Tensor:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> set:
-        return set(self.terms)
-
     def coefficient(self, key: tuple) -> Cyclotomic:
         return self.terms.get(tuple(key), cy_zero())
 
@@ -256,11 +253,6 @@ class Tensor:
         )
 
     __hash__ = None
-
-    def in_span(self, allowed: Iterable[int]) -> bool:
-        """True iff every slot of every stored term lies in the allowed sub-basis."""
-        allowed = set(allowed)
-        return all(all(i in allowed for i in key) for key in self.terms)
 
     def first_difference(self, other: "Tensor"):
         """Earliest (key, self coeff, other coeff) where the two disagree."""

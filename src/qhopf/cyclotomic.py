@@ -362,9 +362,6 @@ class Cyclotomic:
             return self._k == 0
         return self._c == {0: 1}
 
-    def is_rational(self) -> bool:
-        return set(self._c) <= {0}
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

@@ -11,9 +11,10 @@ Two coordinate systems are kept for H: the monomial basis {g^i x^j} and the
 idempotent basis {1_z x^j}, where the 1_z are the primitive idempotents of
 the group algebra of <g> fixed by g 1_z = q^z 1_z.  Products of idempotent
 -basis monomials are single basis elements, so all twist machinery runs
-there; the monomial basis is the reporting and membership surface.  The
-same pair of coordinates exists for A with the aggregated idempotents
-1_s = sum_i 1_{s+ni}, on which a acts by Q^s with Q = q^n.
+there; H's structure maps are stated on monomials and carried there by
+:meth:`TaftAlgebra.to_idem`.  The same pair of coordinates exists for A with
+the aggregated idempotents 1_s = sum_i 1_{s+ni}, on which a acts by Q^s with
+Q = q^n; the monomial basis of A is the reporting surface.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ class TaftAlgebra:
         self.H_idem = self._idempotent_descriptor()
         self.A = self._sub_monomial_descriptor()
         self.A_bold = self._sub_idempotent_descriptor()
-
-        # indices of A-basis monomials inside H (g-exponent divisible by n)
-        self.a_indices_in_h = frozenset(
-            (n * i) * m + j for i in range(n) for j in range(m)
-        )
 
         self._delta_memo: dict[int, Tensor] = {}
         self._dg_pows = [self.H.unit_tensor(2)]
@@ -274,20 +270,8 @@ class TaftAlgebra:
             (z * self.m + j, self._q_pows[(i * z) % self.m]) for z in range(self.m)
         ]
 
-    def _idem_to_mon_slot(self, idx: int):
-        # integer coefficients; the 1/n^2 normalization per slot is applied
-        # once at the end of from_idem, keeping the accumulation integral
-        z, j = divmod(idx, self.m)
-        return [
-            (t * self.m + j, self._q_pows[(-z * t) % self.m]) for t in range(self.m)
-        ]
-
     def to_idem(self, u: Tensor) -> Tensor:
         return _convert(u, self.H_idem, self._mon_to_idem_slot)
-
-    def from_idem(self, u: Tensor) -> Tensor:
-        out = _convert(u, self.H, self._idem_to_mon_slot)
-        return out.scale(Fraction(1, self.m**u.rank))
 
     def _sub_mon_to_bold_slot(self, idx: int):
         i, j = divmod(idx, self.m)

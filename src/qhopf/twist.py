@@ -14,8 +14,7 @@ J is diagonal on the primitive idempotents 1_z, so the construction runs in
 the idempotent coordinates of H.  There A is the part whose coefficients are
 constant on residue classes z mod n, which :func:`aggregate_to_bold` rewrites
 over the aggregated idempotents 1_s = sum_i 1_{s+ni}.  The checks compare
-in that frame too; monomial coordinates are left to the dumps and to the
-n <= 3 cross-check of coproduct closure.
+in that frame too; monomial coordinates are left to the dumps.
 
 Closed forms for the twisted coproduct of x, the twisted antipode of x, the
 associator and the distinguished elements are provided as *references* to be

@@ -3,17 +3,42 @@
 The checks compare the twisted maps in the aggregated-idempotent frame of A.
 Before that they went through monomial coordinates of H: the literal twist
 computation was taken back to monomials with ``from_idem``, frame elements
-reached H through A's monomials and the inclusion a -> g^n, and the closed
-forms were sums of Fraction-dense idempotents.  Those maps live on here, with
-the idempotents and the counit on monomial coordinates, and the tests require
-the frame to agree with them.
+reached H through A's monomials and the inclusion a -> g^n, membership in
+A (x) A was a test on monomial indices, and the closed forms were sums of
+Fraction-dense idempotents.  Those maps live on here, with the idempotents
+and the counit on monomial coordinates, and the tests require the frame to
+agree with them.
 """
 
 from fractions import Fraction
 
 from qhopf.algebra import Tensor, apply_on_factor, invert
 from qhopf.cyclotomic import zero as cy_zero
+from qhopf.taft import _convert
 from qhopf.twist import antipode_elements, build_twist
+
+
+def from_idem(t, u):
+    """Idempotent coordinates of H^(x r) back to monomial coordinates, through
+    1_z = (1/n^2) sum_k q^(-z k) g^k; the 1/n^2 per slot is applied once at
+    the end, keeping the accumulation integral."""
+
+    def slot(idx):
+        z, j = divmod(idx, t.m)
+        return [(k * t.m + j, t.q_power(-z * k)) for k in range(t.m)]
+
+    return _convert(u, t.H, slot).scale(Fraction(1, t.m**u.rank))
+
+
+def a_indices_in_h(t):
+    """Indices of the monomials of H that lie in A (g-exponent divisible by n)."""
+    return frozenset(t.n * i * t.m + j for i in range(t.n) for j in range(t.m))
+
+
+def in_span(u, allowed):
+    """True iff every slot of every stored term of u lies in the allowed indices."""
+    allowed = set(allowed)
+    return all(all(i in allowed for i in key) for key in u.terms)
 
 
 def idempotent(t, z):
@@ -70,7 +95,7 @@ def twisted_coproduct(t, u, J=None, Jinv=None):
     if Jinv is None:
         Jinv = invert(J)
     d = t.to_idem(t.delta(u))
-    return t.from_idem(J * d * Jinv)
+    return from_idem(t, J * d * Jinv)
 
 
 def twisted_antipode(t, u, beta=None, beta_inv=None):
@@ -80,7 +105,7 @@ def twisted_antipode(t, u, beta=None, beta_inv=None):
     if beta_inv is None:
         beta_inv = invert(beta)
     si = t.to_idem(t.antipode(u))
-    return t.from_idem(beta * si * beta_inv)
+    return from_idem(t, beta * si * beta_inv)
 
 
 def coproduct_x_reference_monomial(t):
@@ -102,3 +127,20 @@ def antipode_x_reference_monomial(t):
     for z in range(t.n):
         acc = acc + bold_idempotent(t, z).scale(t.q_power(t.n - z))
     return (t.x * acc).scale(-1)
+
+
+def coproduct_closure(t, J, Jinv):
+    """The closure sweep in monomial coordinates of H: every a^i x^j of A keeps
+    J Delta(a^i x^j) J^(-1), formed as Delta_J(a^i) Delta_J(x)^j, inside the
+    span of A's monomials in H (x) H."""
+    span = a_indices_in_h(t)
+    dx = twisted_coproduct(t, t.x, J, Jinv)
+    da = [twisted_coproduct(t, t.monomial(t.n * i, 0), J, Jinv) for i in range(t.n)]
+    power = t.H.unit_tensor(2)
+    for j in range(t.m):
+        if j:
+            power = power * dx
+        for i in range(t.n):
+            if not in_span(da[i] * power, span):
+                return f"monomial-basis coproduct of a^{i} x^{j} leaves A (x) A"
+    return None

@@ -2,17 +2,21 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qhopf.checks
+import qhopf.cli
+import qhopf.taft
 from qhopf.axioms import deterministic_sample
+from qhopf.checks import BuildContext, _fam_route_agreement
 from qhopf.cli import (
     ALL_CHECK_NAMES,
-    BuildContext,
     RunConfig,
-    _fam_route_agreement,
     coprime_exponents,
     dump_structure,
     main,
@@ -20,7 +24,6 @@ from qhopf.cli import (
     run_suite,
 )
 from qhopf.corruptions import corrupted_coproduct
-from qhopf.taft import TaftAlgebra
 
 from monomial_route import frame_on_monomial, twisted_coproduct
 
@@ -198,22 +201,30 @@ def test_dump_via_cli_roundtrip(tmp_path):
 
 
 def test_failure_exit_code_with_corrupted_selection(tmp_path, monkeypatch):
-    # a corrupted structure is not reachable through flags; simulate a failing
-    # run by asking for a check against an exponent list that breaks closure
-    # expectations via the negative-control harness instead
+    # a corrupted structure is not reachable through flags, so the build the
+    # runner calls is patched to return one; main must exit 1 and the written
+    # report must carry the pentagon's witness
     from qhopf.axioms import check_pentagon
     from qhopf.corruptions import corrupted_associator
-    from qhopf.twist import build_quasi_hopf
 
-    bad = corrupted_associator(build_quasi_hopf(2))
-    assert check_pentagon(bad) is not None
+    build = qhopf.checks.build_quasi_hopf
+    monkeypatch.setattr(
+        qhopf.checks, "build_quasi_hopf", lambda *a, **k: corrupted_associator(build(*a, **k))
+    )
+    out = tmp_path / "report.json"
+    assert main(["--n", "2", "--q-exp", "1", "--checks", "pentagon", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["summary"] == {"passed": 0, "failed": 1, "structures": 1}
+    [check] = report["structures"][0]["checks"]
+    witness = check_pentagon(corrupted_associator(build(2, 1)))
+    assert witness
+    assert check == {"name": "pentagon", "status": "fail", "witness": witness}
 
 
 def test_witness_serialized_on_failure(monkeypatch):
     # a construction failure must come back as failed checks in a report,
     # not escape run_suite: feed the build an associator with one coefficient
     # scaled by q, which breaks residue-class constancy on A
-    import qhopf.cli as cli
     from qhopf.algebra import Tensor
     from qhopf.twist import build_quasi_hopf, cyclic_associator
 
@@ -230,8 +241,8 @@ def test_witness_serialized_on_failure(monkeypatch):
         builds.append(args)
         return build_quasi_hopf(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "coboundary_associator", broken_associator)
-    monkeypatch.setattr(cli, "build_quasi_hopf", counted_build)
+    monkeypatch.setattr(qhopf.checks, "coboundary_associator", broken_associator)
+    monkeypatch.setattr(qhopf.checks, "build_quasi_hopf", counted_build)
     config = RunConfig(n=2, q_exponents=[1], checks=list(ALL_CHECK_NAMES), seed=0)
     report, code = run_suite(config)
     assert code == 1
@@ -271,19 +282,41 @@ def test_route_agreement_names_the_monomial_routes_index(n):
 
 
 def test_n4_checks_stay_in_the_frame(monkeypatch):
-    # no check converts back to monomials of H at n >= 4
-    def refuse(self, u):
-        raise AssertionError("from_idem called")
+    # at every n, each change of coordinates a check makes goes into the
+    # idempotent coordinates of H or the frame of A, never back to monomials
+    convert = qhopf.taft._convert
 
-    monkeypatch.setattr(TaftAlgebra, "from_idem", refuse)
-    config = RunConfig(n=4, q_exponents=[1], checks=list(ALL_CHECK_NAMES), seed=0)
-    report, code = run_suite(config)
-    failures = [
-        c
-        for c in report["structures"][0]["checks"] + report["family_checks"]
-        if c["status"] != "pass"
-    ]
-    assert code == 0, failures
-    # the patch bites where a check does convert: closure's n <= 3 cross-check
-    small = RunConfig(n=3, q_exponents=[1], checks=["coproduct_closure"], seed=0)
-    assert run_suite(small)[1] == 1
+    def into_the_frame(u, target, slot_map):
+        if "|" not in target.name:  # H(n,e) and A(n,e), not H|idem or A|bold
+            raise AssertionError(f"converted into monomials of {target.name}")
+        return convert(u, target, slot_map)
+
+    monkeypatch.setattr(qhopf.taft, "_convert", into_the_frame)
+    for n in (2, 3, 4):
+        config = RunConfig(n=n, q_exponents=[1], checks=list(ALL_CHECK_NAMES), seed=0)
+        report, code = run_suite(config)
+        failures = [
+            c
+            for c in report["structures"][0]["checks"] + report["family_checks"]
+            if c["status"] != "pass"
+        ]
+        assert code == 0, (n, failures)
+    # the patch bites where the program does convert back: the dumps
+    with pytest.raises(AssertionError, match="monomials of A"):
+        dump_structure(3, 1, "delta_x")
+
+
+def test_names_imported_from_cli_resolve():
+    # perfbench and scripts import the runner from qhopf.cli, which re-exports
+    # it from qhopf.checks
+    root = Path(__file__).resolve().parent.parent
+    imported = set()
+    for path in sorted(root.glob("perfbench/*.py")) + sorted(root.glob("scripts/*.py")):
+        for names in re.findall(r"from qhopf\.cli import ([\w, ]+)", path.read_text()):
+            imported |= {name.strip() for name in names.split(",")}
+    assert {"ALL_CHECK_NAMES", "RunConfig", "run_suite", "DUMP_CHOICES", "main"} <= imported
+    for name in imported:
+        assert hasattr(qhopf.cli, name), name
+    assert qhopf.cli.run_suite is qhopf.checks.run_suite
+    assert qhopf.cli.RunConfig is qhopf.checks.RunConfig
+    assert qhopf.cli.ALL_CHECK_NAMES is qhopf.checks.ALL_CHECK_NAMES
