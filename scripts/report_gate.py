@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Write the behaviour-preservation set of a checkout into OUTDIR.
 
-    python3 scripts/report_gate.py OUTDIR
+    python3 scripts/report_gate.py OUTDIR [--against REFDIR]
 
 The set is 52 files: the default report (all checks, seed 0, no timings) over
 every exponent at n = 2, 3, 4; every ``--dump`` target for every exponent at
 n = 2, 3; and the ``--list-checks`` output.  A refactor keeps all of them byte
-for byte, so the gate is one run in each of two checkouts and a ``diff -r``
-of the two directories.  The package is imported from the ``src`` directory
-of the checkout that holds this script.  Exits 1 if any command exits nonzero.
+for byte: write the set once in the reference checkout, then again in the
+changed one with ``--against`` naming the first directory.  The package is
+imported from the ``src`` directory of the checkout that holds this script.
+Exits 1 if any command exits nonzero, or, with ``--against``, if a file of
+the two directories is missing from either or differs; the first such file is
+named.
 """
 
+import argparse
 import contextlib
 import io
 import pathlib
@@ -43,10 +47,34 @@ def write_gate_set(outdir: pathlib.Path) -> list[str]:
     return failed
 
 
+def first_difference(outdir: pathlib.Path, refdir: pathlib.Path) -> str | None:
+    """The first file name, in sorted order, that is missing from one of the
+    two directories or whose bytes differ; None when they hold the same files."""
+    names = {p.name for p in outdir.iterdir()} | {p.name for p in refdir.iterdir()}
+    for name in sorted(names):
+        ours, theirs = outdir / name, refdir / name
+        if not ours.is_file() or not theirs.is_file():
+            return f"{name}: only in {outdir if ours.is_file() else refdir}"
+        if ours.read_bytes() != theirs.read_bytes():
+            return f"{name}: differs"
+    return None
+
+
+def gate(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=pathlib.Path)
+    parser.add_argument("--against", type=pathlib.Path, metavar="REFDIR")
+    args = parser.parse_args(argv)
+    failed = write_gate_set(args.outdir)
+    for cmd in failed:
+        print(f"nonzero exit: qhopf {cmd}", file=sys.stderr)
+    difference = None
+    if args.against is not None:
+        difference = first_difference(args.outdir, args.against)
+        if difference is not None:
+            print(f"gate: {difference}", file=sys.stderr)
+    return 1 if failed or difference is not None else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    failed = write_gate_set(pathlib.Path(sys.argv[1]))
-    for args in failed:
-        print(f"nonzero exit: qhopf {args}", file=sys.stderr)
-    sys.exit(1 if failed else 0)
+    sys.exit(gate())

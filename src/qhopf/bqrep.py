@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero as cy_zero
 from .linalg import (
+    corank_one,
     identity_matrix,
     mat_eq,
     mat_inverse,
@@ -268,10 +269,15 @@ def check_bq_semisimple(n: int, Q_exponent: int = 1) -> str | None:
     exponents = [(Q_exponent % n) + k * n for k in range(n)]
     modules = [vq_module(n, e) for e in exponents]
 
-    # (i) each module has a one-dimensional commutant
+    # (i) each module has a one-dimensional commutant: the identity commutes,
+    # so a modular rank of n^2 - 1 proves it; otherwise the rank is exact
+    identity = {i * n + i: cy_one() for i in range(n)}
     for D in modules:
         rows = _block_equations([D.a_mat, D.xi_mat, D.eta_mat])
-        dim = n * n - sparse_rank(rows)
+        if corank_one(rows, n * n, identity):
+            dim = 1
+        else:
+            dim = n * n - sparse_rank(rows)
         if dim != 1:
             return f"commutant of the module at q-exponent {D.q_exponent} has dimension {dim}"
 

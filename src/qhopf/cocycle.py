@@ -31,6 +31,7 @@ __all__ = [
     "class_invariant",
     "cochain_from_bold_tensor",
     "cyclic_cochain",
+    "invariant_product",
     "random_coboundary",
 ]
 
@@ -92,18 +93,40 @@ def cochain_from_bold_tensor(n: int, m: int, tensor) -> ThreeCochain:
 
 
 def check_cocycle(c: ThreeCochain) -> str | None:
-    """Exhaustive cocycle condition over n^4 quadruples, plus normalization."""
+    """Exhaustive cocycle condition over n^4 quadruples, plus normalization.
+
+    The n^3 values are read once into a flat table indexed by
+    i n^2 + j n + k, and the sums mod n come from a precomputed table.
+    """
     n = c.n
+    nn = n * n
+    values = c.values
+    table = [values[(i, j, k)] for i in range(n) for j in range(n) for k in range(n)]
     for i in range(n):
         for j in range(n):
-            if not (c(0, i, j).is_one() and c(i, 0, j).is_one() and c(i, j, 0).is_one()):
+            if not (
+                table[i * n + j].is_one()
+                and table[i * nn + j].is_one()
+                and table[i * nn + j * n].is_one()
+            ):
                 return f"normalization broken near ({i},{j})"
+    plus = [[(a + b) % n for b in range(n)] for a in range(n)]
     for i in range(n):
+        c_i = table[i * nn : (i + 1) * nn]  # c(i, j, k) at j n + k
         for j in range(n):
+            c_j = table[j * nn : (j + 1) * nn]
+            c_ij = table[plus[i][j] * nn : (plus[i][j] + 1) * nn]
+            c_i_j = c_i[j * n : (j + 1) * n]
             for k in range(n):
+                first = c_j[k * n : (k + 1) * n]  # c(j, k, l)
+                jk = plus[j][k] * n
+                second = c_i[jk : jk + n]  # c(i, j+k, l)
+                third = c_i_j[k]  # c(i, j, k)
+                fourth = c_ij[k * n : (k + 1) * n]  # c(i+j, k, l)
+                kl = plus[k]  # c(i, j, k+l) is c_i_j[kl[l]]
                 for l in range(n):
-                    lhs = c(j, k, l) * c(i, j + k, l) * c(i, j, k)
-                    rhs = c(i + j, k, l) * c(i, j, k + l)
+                    lhs = first[l] * second[l] * third
+                    rhs = fourth[l] * c_i_j[kl[l]]
                     if lhs != rhs:
                         return (
                             f"cocycle condition fails at ({i},{j},{k},{l}): "
@@ -118,6 +141,12 @@ def class_invariant(c: ThreeCochain) -> Cyclotomic:
     witness = check_cocycle(c)
     if witness is not None:
         raise ValueError(f"class invariant needs a cocycle: {witness}")
+    return invariant_product(c)
+
+
+def invariant_product(c: ThreeCochain) -> Cyclotomic:
+    """prod_j c(1, j, 1) without the cocycle check: the class invariant of a
+    cochain that ``check_cocycle`` has already passed."""
     acc = cy_one()
     for j in range(c.n):
         acc = acc * c(1, j, 1)

@@ -6,6 +6,7 @@ Everything is exact, with no pivot tolerance: one dense Gauss-Jordan routine,
 ``sparse_rank`` first reduces the rows modulo a prime p = 1 (mod L), sending
 zeta_L to an element of order L in F_p, and returns the modular rank when it
 reaches min(#rows, #columns); otherwise it eliminates over Q(zeta).
+:func:`corank_one` settles a system with a known kernel vector the same way.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import isqrt, lcm
 from .cyclotomic import Cyclotomic, one, zero
 
 __all__ = [
+    "corank_one",
     "identity_matrix",
     "mat_eq",
     "mat_inverse",
@@ -35,19 +37,29 @@ def scalar_matrix(n: int, value: Cyclotomic) -> list[list[Cyclotomic]]:
     return [[value if i == j else zero() for j in range(n)] for i in range(n)]
 
 
+# the entry of every zero position that mat_mul fills; scalars are immutable
+_ZERO = zero()
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """The product a b, visiting only the nonzero entries of each row of a
+    and of the rows of b they select.
+
+    Each entry is the sum of its nonzero products in the order of the inner
+    index; positions without one hold a shared zero.
+    """
+    m = len(b[0])
+    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                if a[i][t] and b[t][j]:
-                    p = a[i][t] * b[t][j]
-                    acc = p if acc is None else acc + p
-            row.append(zero() if acc is None else acc)
-        out.append(row)
+    for row in a:
+        acc: dict = {}
+        for t, x in enumerate(row):
+            if x:
+                for j, y in b_rows[t]:
+                    p = x * y
+                    prev = acc.get(j)
+                    acc[j] = p if prev is None else prev + p
+        out.append([acc.get(j, _ZERO) for j in range(m)])
     return out
 
 
@@ -63,6 +75,9 @@ def mat_pow(a, k: int):
 
 
 def mat_eq(a, b) -> bool:
+    """Equal shapes and equal entries."""
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
@@ -108,6 +123,27 @@ def sparse_rank(rows: list[dict[int, Cyclotomic]]) -> int:
     if _modular_rank(work) == bound:
         return bound
     return _eliminate_rank(work)
+
+
+def corank_one(rows: list[dict[int, Cyclotomic]], columns: int, vector: dict[int, Cyclotomic]) -> bool:
+    """True when the rows, over ``columns`` columns, are proved to have rank
+    exactly columns - 1; False when that is not proved.
+
+    The nonzero ``vector`` is checked to lie exactly in the kernel of every
+    row, so the rank is at most columns - 1; the rank modulo a prime
+    (:func:`_modular_rank`) never exceeds the rank, so reaching columns - 1
+    there proves it.  Nothing is eliminated over Q(zeta).
+    """
+    if not any(vector.values()) or any(c >= columns for r in rows for c in r):
+        return False
+    for row in rows:
+        acc = zero()
+        for c, v in vector.items():
+            if c in row:
+                acc = acc + row[c] * v
+        if acc:
+            return False
+    return _modular_rank(rows) == columns - 1
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,112 @@
+"""The Tensor-sum antipode check, the dict-lookup cocycle check and the dense
+matrix product, kept as differential oracles.
+
+``qhopf.axioms.check_antipode`` accumulates its sums into coefficient dicts,
+``qhopf.cocycle.check_cocycle`` reads a flat value table and
+``qhopf.linalg.mat_mul`` visits only nonzero entries.  Before that they summed
+whole Tensors term by term, looked every value up through
+``ThreeCochain.__call__`` and ran the full triple loop.  Those versions live
+on here unchanged, and the tests require equal results and equal witnesses.
+"""
+
+import random
+
+from qhopf.algebra import Tensor
+from qhopf.axioms import _witness
+from qhopf.cyclotomic import zero
+
+
+def check_antipode(S, pair_sample=25, seed=0):
+    ops = S.frame
+    d = ops.descriptor
+    alpha, beta = ops.alpha, ops.beta
+    s_alpha = {}
+
+    def sa(k):
+        hit = s_alpha.get(k)
+        if hit is None:
+            hit = s_alpha[k] = ops.antipode(k) * alpha
+        return hit
+
+    for idx in range(d.dim):
+        dd = ops.coproduct(idx)
+        acc1 = Tensor(d, 1, {})
+        acc2 = Tensor(d, 1, {})
+        for (k1, k2), c in dd.terms.items():
+            acc1 = acc1 + (sa(k1) * d.basis_tensor((k2,))).scale(c)
+            acc2 = acc2 + (d.basis_tensor((k1,)) * beta * ops.antipode(k2)).scale(c)
+        e = ops.counit(idx)
+        if acc1 != alpha.scale(e):
+            return _witness(
+                ops, f"S(u1) alpha u2 at {d.label(idx)}", acc1.first_difference(alpha.scale(e))
+            )
+        if acc2 != beta.scale(e):
+            return _witness(
+                ops, f"u1 beta S(u2) at {d.label(idx)}", acc2.first_difference(beta.scale(e))
+            )
+
+    unit1 = d.unit_tensor(1)
+    acc3 = Tensor(d, 1, {})
+    for (kx, ky, kz), c in ops.associator.terms.items():
+        term = d.basis_tensor((kx,)) * beta * ops.antipode(ky) * alpha * d.basis_tensor((kz,))
+        acc3 = acc3 + term.scale(c)
+    if acc3 != unit1:
+        return _witness(ops, "X beta S(Y) alpha Z", acc3.first_difference(unit1))
+    acc4 = Tensor(d, 1, {})
+    for (kp, kq, kr), c in ops.associator_inv.terms.items():
+        term = ops.antipode(kp) * alpha * d.basis_tensor((kq,)) * beta * ops.antipode(kr)
+        acc4 = acc4 + term.scale(c)
+    if acc4 != unit1:
+        return _witness(ops, "S(P) alpha Q beta S(R)", acc4.first_difference(unit1))
+
+    rng = random.Random(f"{seed}:antipode-pairs")
+    for _ in range(pair_sample):
+        i = rng.randrange(d.dim)
+        j = rng.randrange(d.dim)
+        lhs = Tensor(d, 1, {})
+        for k, c in d.mult(i, j).items():
+            lhs = lhs + ops.antipode(k).scale(c)
+        rhs = ops.antipode(j) * ops.antipode(i)
+        if lhs != rhs:
+            return _witness(
+                ops,
+                f"S not anti-multiplicative at ({d.label(i)})({d.label(j)})",
+                lhs.first_difference(rhs),
+            )
+    return None
+
+
+def check_cocycle(c):
+    n = c.n
+    for i in range(n):
+        for j in range(n):
+            if not (c(0, i, j).is_one() and c(i, 0, j).is_one() and c(i, j, 0).is_one()):
+                return f"normalization broken near ({i},{j})"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    lhs = c(j, k, l) * c(i, j + k, l) * c(i, j, k)
+                    rhs = c(i + j, k, l) * c(i, j, k + l)
+                    if lhs != rhs:
+                        return (
+                            f"cocycle condition fails at ({i},{j},{k},{l}): "
+                            f"{lhs.render()} vs {rhs.render()}"
+                        )
+    return None
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                if a[i][t] and b[t][j]:
+                    p = a[i][t] * b[t][j]
+                    acc = p if acc is None else acc + p
+            row.append(zero() if acc is None else acc)
+        out.append(row)
+    return out

@@ -15,7 +15,7 @@ from qhopf.bqrep import (
     weighted_spectrum,
     xi_eta_operators,
 )
-from qhopf.cyclotomic import one as cy_one, root_of_unity, zero as cy_zero
+from qhopf.cyclotomic import one as cy_one, rational, root_of_unity, zero as cy_zero
 from qhopf.linalg import _eliminate_rank, identity_matrix, mat_eq, mat_mul, sparse_rank
 from qhopf.twist import build_quasi_hopf
 
@@ -145,8 +145,10 @@ def test_bq_semisimple(n, t):
 
 
 def test_bq_semisimple_full_rank_on_the_certificate_alone(monkeypatch):
-    # part (iii) is the only family of n^3 rows; part (i)'s commutant systems
-    # have rank n^2 - 1 below their bound and are eliminated over Q(zeta)
+    # part (iii) is the only family of n^3 rows, certified by its full
+    # modular rank; part (i)'s commutant systems have rank n^2 - 1 below
+    # their bound and are certified with the identity in their kernel, so
+    # nothing is eliminated over Q(zeta)
     n = 5
     eliminate = linalg._eliminate_rank
     sizes = []
@@ -158,7 +160,7 @@ def test_bq_semisimple_full_rank_on_the_certificate_alone(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate_rank", guarded)
     assert check_bq_semisimple(n, 1) is None
-    assert len(sizes) == n
+    assert sizes == []
 
 
 def _record_ranks(monkeypatch):
@@ -206,6 +208,29 @@ def test_bq_semisimple_reports_deficient_rank(monkeypatch, n):
     rank = _eliminate_rank(families[-1])
     assert rank == n * n
     assert witness == f"span of monomial operators has rank {rank}, expected {n**3}"
+
+
+def test_bq_semisimple_rank_two_below_falls_back(monkeypatch):
+    # a = diag(1, 1, 2), xi swapping the first two weights, eta = diag(1, 2, 3):
+    # the commutant is the diagonal matrices with equal first two entries, so
+    # the system has rank n^2 - 2; the modular certificate cannot settle it and
+    # the exact rank gives the dimension
+    n = 3
+
+    def mat(rows):
+        return [[rational(v) for v in row] for row in rows]
+
+    def module(n, exponent):
+        a = mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+        xi = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        eta = mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        return DegreeOneModule(n, exponent, a, xi, eta)
+
+    monkeypatch.setattr(bqrep, "vq_module", module)
+    families = _record_ranks(monkeypatch)
+    assert check_bq_semisimple(n, 1) == "commutant of the module at q-exponent 1 has dimension 2"
+    assert len(families) == 1
+    assert _eliminate_rank(families[0]) == n * n - 2
 
 
 def test_bq_semisimple_rejects_imprimitive():

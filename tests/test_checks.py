@@ -1,11 +1,20 @@
-"""The check registry: the closure sweep against its monomial route, and the
-rule that library checks are called through this module's names."""
+"""The check registry: the closure sweep against its monomial route, the rule
+that library checks are called through this module's names, and the
+coboundaries of ``cocycle_invariance``."""
 
 import pytest
 
 import qhopf.checks
-from qhopf.checks import BuildContext, RunConfig, _chk_coproduct_closure, run_suite
+import qhopf.cocycle
+from qhopf.checks import (
+    BuildContext,
+    RunConfig,
+    _chk_coproduct_closure,
+    _fam_cocycle_invariance,
+    run_suite,
+)
 from qhopf.cli import coprime_exponents
+from qhopf.cocycle import ThreeCochain
 
 from monomial_route import coproduct_closure
 
@@ -40,3 +49,50 @@ def test_library_checks_are_called_by_their_names_in_checks(monkeypatch):
     assert report["structures"][0]["checks"] == [
         {"name": "pentagon", "status": "fail", "witness": "stub witness"}
     ]
+
+
+def _coboundaries(monkeypatch, bad_seed=None):
+    """Let cocycle_invariance draw its coboundaries through a recorder; the
+    one at ``bad_seed`` has a value scaled so that it is no cocycle."""
+    drawn = []
+    original = qhopf.checks.random_coboundary
+
+    def coboundary(n, seed):
+        db = original(n, seed)
+        if seed == bad_seed:
+            values = dict(db.values)
+            values[(1, 1, 1)] = values[(1, 1, 1)] * 2
+            db = ThreeCochain(n, values)
+        drawn.append(db)
+        return db
+
+    monkeypatch.setattr(qhopf.checks, "random_coboundary", coboundary)
+    return drawn
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cocycle_invariance_rejects_a_coboundary_that_is_no_cocycle(monkeypatch, n):
+    _coboundaries(monkeypatch, bad_seed=7)
+    ctx = BuildContext(n, 1, 0)
+    assert _fam_cocycle_invariance([ctx], 5) == (
+        "coboundary at seed 7 fails the cocycle condition"
+    )
+
+
+def test_cocycle_invariance_checks_each_coboundary_once(monkeypatch):
+    # every coboundary goes through check_cocycle once; base * db once more
+    # inside class_invariant, and the base itself once
+    drawn = _coboundaries(monkeypatch)
+    checked = []
+    for module in (qhopf.checks, qhopf.cocycle):
+        original = module.check_cocycle
+
+        def recorder(c, original=original):
+            checked.append(c)
+            return original(c)
+
+        monkeypatch.setattr(module, "check_cocycle", recorder)
+    assert _fam_cocycle_invariance([BuildContext(3, 1, 0)], 0, rounds=10) is None
+    assert len(drawn) == 10
+    assert [sum(c is db for c in checked) for db in drawn] == [1] * 10
+    assert len(checked) == 1 + 2 * 10

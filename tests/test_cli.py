@@ -1,5 +1,6 @@
 """CLI behavior: flags, exit codes, report schema, determinism, dumps."""
 
+import importlib.util
 import json
 import os
 import re
@@ -320,3 +321,36 @@ def test_names_imported_from_cli_resolve():
     assert qhopf.cli.run_suite is qhopf.checks.run_suite
     assert qhopf.cli.RunConfig is qhopf.checks.RunConfig
     assert qhopf.cli.ALL_CHECK_NAMES is qhopf.checks.ALL_CHECK_NAMES
+
+
+def _report_gate():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "report_gate.py"
+    spec = importlib.util.spec_from_file_location("report_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_gate_against_names_the_first_difference(tmp_path, monkeypatch, capsys):
+    gate = _report_gate()
+    contents = {"b.txt": "two\n", "a.json": "{}\n"}
+
+    def write_set(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in contents.items():
+            (outdir / name).write_text(text)
+        return []
+
+    monkeypatch.setattr(gate, "write_gate_set", write_set)
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert gate.gate([str(ref)]) == 0
+    assert gate.gate([str(out), "--against", str(ref)]) == 0
+    assert gate.first_difference(out, ref) is None
+    capsys.readouterr()
+    contents["b.txt"] = "changed\n"
+    assert gate.gate([str(out), "--against", str(ref)]) == 1
+    assert capsys.readouterr().err == "gate: b.txt: differs\n"
+    (ref / "extra.txt").write_text("")
+    assert gate.first_difference(out, ref) == "b.txt: differs"
+    (out / "b.txt").write_text("two\n")
+    assert gate.first_difference(out, ref) == f"extra.txt: only in {ref}"

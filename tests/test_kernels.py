@@ -1,0 +1,150 @@
+"""The arithmetic-only kernels against their oracles in ``kernel_oracles``:
+``check_antipode`` on every structure at n = 2..4 and on corrupted frames,
+``check_cocycle`` on random cochains, ``mat_mul`` on random sparse matrices.
+Results and witnesses must be equal, and so must every product entry with its
+conductor and its rendering."""
+
+import random
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+
+import kernel_oracles as oracle
+from qhopf.axioms import check_antipode
+from qhopf.checks import BuildContext
+from qhopf.cli import coprime_exponents
+from qhopf.cocycle import ThreeCochain, check_cocycle, cyclic_cochain, random_coboundary
+from qhopf.corruptions import corrupted_alpha
+from qhopf.cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero
+from qhopf.linalg import mat_mul
+
+STRUCTURES = [(n, e) for n in (2, 3, 4) for e in coprime_exponents(n)]
+
+
+@lru_cache(maxsize=None)
+def _context(n, e):
+    return BuildContext(n, e, 0)
+
+
+def _scaled_antipode(S, idx, factor):
+    """S with the antipode image of one basis element scaled by ``factor``."""
+    base = S.frame.antipode
+
+    def antipode(k):
+        return base(k).scale(factor) if k == idx else base(k)
+
+    return replace(S, frame=replace(S.frame, antipode=antipode))
+
+
+@pytest.mark.parametrize("n,e", STRUCTURES)
+def test_antipode_matches_the_tensor_sums(n, e):
+    ctx = _context(n, e)
+    for S in (ctx.hopf, ctx.struct):
+        assert check_antipode(S, seed=3) == oracle.check_antipode(S, seed=3) is None
+
+
+@pytest.mark.parametrize("n,e", STRUCTURES)
+def test_antipode_witnesses_match_on_corrupted_frames(n, e):
+    ctx = _context(n, e)
+    t = ctx.taft
+    frame = ctx.struct.frame
+    bad = [
+        corrupted_alpha(ctx.struct),
+        # a scaled associator or inverse reaches identity (3) or (4) alone
+        replace(ctx.struct, frame=replace(frame, associator=frame.associator.scale(2))),
+        replace(ctx.struct, frame=replace(frame, associator_inv=frame.associator_inv.scale(t.q))),
+    ]
+    for S in (ctx.hopf, ctx.struct):
+        # x-degree 1 reaches identity (1), the top index only the sampled pairs
+        for idx, factor in ((1, 2), (t.m + 1, t.q), (S.dim - 1, -1)):
+            bad.append(_scaled_antipode(S, idx, factor))
+    for S in bad:
+        witness = check_antipode(S)
+        assert witness, S.label
+        assert witness == oracle.check_antipode(S)
+
+
+def _random_value(rng, m):
+    kind = rng.randrange(4)
+    root = root_of_unity(m, rng.randrange(m))
+    if kind == 0:
+        return root
+    if kind == 1:
+        return -root  # an untagged root
+    if kind == 2:
+        return root * rng.choice([2, -3])
+    return root + root_of_unity(2 * m, rng.randrange(1, 2 * m))  # mixed conductors
+
+
+def _perturbed(c, rng, normalized):
+    values = dict(c.values)
+    n = c.n
+    low = 1 if normalized else 0
+    key = tuple(rng.randrange(low, n) for _ in range(3))
+    if not normalized:
+        key = key[:2] + (0,)
+    values[key] = values[key] * _random_value(rng, n * n)
+    return ThreeCochain(n, values)
+
+
+def _random_cochain(rng, n):
+    values = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                values[(i, j, k)] = _random_value(rng, n * n) if i and j and k else cy_one()
+    return ThreeCochain(n, values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cocycle_check_matches_the_dict_lookups(n):
+    rng = random.Random(f"cochains:{n}")
+    cochains = [cyclic_cochain(n, root_of_unity(n * n, 1), l) for l in range(n)]
+    for seed in range(6):
+        db = random_coboundary(n, seed)
+        cochains += [
+            db,
+            db * cochains[1],
+            _perturbed(db, rng, normalized=True),
+            _perturbed(db, rng, normalized=False),
+            _random_cochain(rng, n),
+        ]
+    outcomes = [check_cocycle(c) for c in cochains]
+    assert outcomes == [oracle.check_cocycle(c) for c in cochains]
+    assert None in outcomes and any(w and "cocycle condition" in w for w in outcomes)
+    assert any(w and "normalization" in w for w in outcomes)
+
+
+def _random_sparse(rng, rows, cols):
+    out = []
+    for _ in range(rows):
+        if rng.random() < 0.2:
+            out.append([zero() for _ in range(cols)])  # a zero row
+            continue
+        row = []
+        for _ in range(cols):
+            if rng.random() < 0.6:
+                row.append(zero(rng.choice([1, 9])))
+                continue
+            m = rng.choice([1, 2, 4, 9, 12])
+            v = root_of_unity(m, rng.randrange(m)) * rng.choice([1, -1, 2])
+            if rng.random() < 0.3:
+                v = v + root_of_unity(3, 1)
+            row.append(v)
+        out.append(row)
+    return out
+
+
+def test_sparse_product_matches_the_triple_loop():
+    rng = random.Random("matrices")
+    for _ in range(200):
+        r, k, c = (rng.randint(1, 5) for _ in range(3))
+        a, b = _random_sparse(rng, r, k), _random_sparse(rng, k, c)
+        got, want = mat_mul(a, b), oracle.mat_mul(a, b)
+        assert len(got) == len(want)
+        for row_g, row_w in zip(got, want):
+            assert len(row_g) == len(row_w)
+            for x, y in zip(row_g, row_w):
+                assert isinstance(x, Cyclotomic)
+                assert x == y and x.conductor == y.conductor and x.render() == y.render()

@@ -3,16 +3,19 @@ sparse rank: the certificate modulo a prime against elimination over Q(zeta)."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_cyclotomic import INVERSE_CONDUCTORS
 
-from qhopf.cyclotomic import Cyclotomic, euler_phi, root_of_unity, zero
+from qhopf.bqrep import _block_equations, vq_module
+from qhopf.cyclotomic import Cyclotomic, euler_phi, one, root_of_unity, zero
 from qhopf.linalg import (
     _eliminate_rank,
     _modular_rank,
     _prime_powers,
+    corank_one,
     identity_matrix,
     mat_eq,
     mat_inverse,
@@ -213,3 +216,49 @@ def test_denominator_divisible_by_the_chosen_prime_falls_back(m):
     for rows, rank in families:
         assert _modular_rank(rows) is None
         assert sparse_rank(rows) == rank == _eliminate_rank(rows)
+
+
+def test_mat_eq_compares_shapes():
+    assert mat_eq(identity_matrix(3), identity_matrix(3)) and mat_eq([], [])
+    assert not mat_eq(identity_matrix(2), identity_matrix(3))
+    assert not mat_eq(identity_matrix(3), identity_matrix(2))
+    assert not mat_eq([], identity_matrix(3))
+    assert not mat_eq(identity_matrix(3), [])
+    assert not mat_eq([[one(), zero()], [zero(), one()]], [[one()], [zero()]])
+
+
+def _identity_vector(n):
+    return {i * n + i: one() for i in range(n)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_corank_one_certifies_the_commutant_systems(n):
+    for e in range(1, n * n):
+        if gcd(e, n) == 1:
+            D = vq_module(n, e)
+            rows = _block_equations([D.a_mat, D.xi_mat, D.eta_mat])
+            assert corank_one(rows, n * n, _identity_vector(n))
+            assert _eliminate_rank(rows) == n * n - 1
+
+
+def test_corank_one_refuses_what_it_cannot_prove():
+    n, z = 3, root_of_unity(9, 1)
+    units = [{c: one()} for c in range(n * n - 1)]  # rank n^2 - 1, kernel e_8
+    assert corank_one(units, n * n, {n * n - 1: z})
+    # the identity is not in the kernel of the unit rows
+    assert not corank_one(units, n * n, _identity_vector(n))
+    # a zero vector proves nothing, nor does a row outside the columns
+    assert not corank_one(units, n * n, {n * n - 1: zero()})
+    assert not corank_one(units + [{n * n: one()}], n * n, {n * n - 1: z})
+    # rank n^2 - 2: the rank bound is not reached
+    assert not corank_one(units[1:], n * n, {n * n - 1: z})
+
+
+@pytest.mark.parametrize("m", [1, 25])
+def test_corank_one_singular_mod_the_chosen_prime_is_not_proved(m):
+    # rank 2 over 3 columns with e_2 in the kernel, but rank 1 modulo the
+    # prime chosen for m
+    p, _ = _prime_powers(m)
+    rows = [{0: Cyclotomic(1, {0: p})}, {1: root_of_unity(m, 1)}]
+    assert _eliminate_rank(rows) == 2
+    assert not corank_one(rows, 3, {2: one()})
