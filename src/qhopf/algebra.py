@@ -366,10 +366,11 @@ def apply_on_factor(u: Tensor, fmap: Callable[[int], object], position: int, out
     acc: dict = {}
     for key, c in u.terms.items():
         img = fmap(key[p])
+        head, tail = key[:p], key[p + 1 :]
         if out_rank == 0:
             if img.is_zero():
                 continue
-            nk = key[:p] + key[p + 1 :]
+            nk = head + tail
             prev = acc.get(nk)
             v = c * img
             acc[nk] = v if prev is None else prev + v
@@ -377,9 +378,11 @@ def apply_on_factor(u: Tensor, fmap: Callable[[int], object], position: int, out
             if img.rank != out_rank:
                 raise ValueError("factor map produced unexpected rank")
             for ikey, iv in img.terms.items():
-                nk = key[:p] + ikey + key[p + 1 :]
+                nk = head + ikey + tail
                 prev = acc.get(nk)
-                v = c * iv
+                # 1 * c keeps c's conductor only when that conductor is a
+                # multiple of the unit's
+                v = c if iv.is_one() and not c.conductor % iv.conductor else c * iv
                 acc[nk] = v if prev is None else prev + v
     return Tensor(u.algebra, u.rank - 1 + out_rank, acc)
 

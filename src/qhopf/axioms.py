@@ -58,21 +58,23 @@ def check_quasi_coassoc(S: QuasiHopf, sample: int = 20, seed: int = 0) -> str | 
     """(id (x) Delta) Delta(u) = Phi (Delta (x) id) Delta(u) Phi^(-1).
 
     Verified on every basis element of x-degree <= 1, whose span holds the
-    generators, plus a seeded sample.  That proves the identity on the
-    elements visited only: agreement on the generators would extend to all
-    of A if the frame coproduct were an algebra map, and nothing here checks
-    that it is (the frame defines Delta(1_s x^b) = Delta(1_s) Delta(x)^b
-    without checking the relations of A on Delta(1_s) and Delta(x)).
+    generators, plus a seeded sample; the low-degree elements come first, so
+    a defect on the generators is found before the sample is walked.  That
+    proves the identity on the elements visited only: agreement on the
+    generators would extend to all of A if the frame coproduct were an
+    algebra map, and nothing here checks that it is (the frame defines
+    Delta(1_s x^b) = Delta(1_s) Delta(x)^b without checking the relations of
+    A on Delta(1_s) and Delta(x)).
     A diagonal associator conjugates in one pass; the Hopf algebra's frame
     declares no idempotent sub-basis and multiplies by its trivial one.
     """
     ops = S.frame
     phi, phi_inv = ops.associator, ops.associator_inv
     diagonal = ops.descriptor.diag_indices is not None
-    indices = deterministic_sample(
-        ops.descriptor.dim, sample, seed, always=_low_degree_indices(S)
-    )
-    for idx in indices:
+    low = _low_degree_indices(S)
+    sampled = deterministic_sample(ops.descriptor.dim, sample, seed, always=low)
+    low_set = set(low)
+    for idx in low + [i for i in sampled if i not in low_set]:
         d = ops.coproduct(idx)
         lhs = apply_on_factor(d, ops.coproduct, 2, 2)
         core = apply_on_factor(d, ops.coproduct, 1, 2)

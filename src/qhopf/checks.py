@@ -6,8 +6,8 @@ scope) or of every selected structure at once (family scope).  It returns
 first failure; :func:`_run_check` alone times a check, names its result and
 turns an exception into a failed check.  :func:`run_suite` runs the selected
 checks over the selected exponents and returns the report as a dict, with
-per-check wall times only on request (they would break byte-for-byte
-reproducibility).
+per-check wall times and per-structure construction times (``build_ms``)
+only on request (they would break byte-for-byte reproducibility).
 
 Every check runs in the aggregated-idempotent frame of A: the literal twisted
 maps are computed in idempotent coordinates of H and aggregated onto the
@@ -16,7 +16,9 @@ frame, where they are compared with the structure and the closed forms.
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -97,17 +99,34 @@ class CheckResult:
 
 
 class BuildContext:
-    """Lazy per-(n, exponent) cache of everything the checks share."""
+    """Lazy per-(n, exponent) cache of everything the checks share.
+
+    The construction phases ``taft``, ``twist``, ``phi_prim`` and ``struct``
+    are timed where they are first built: ``build_ms`` maps each phase built
+    so far to its own milliseconds, less the phases built inside it.
+    """
 
     def __init__(self, n: int, exponent: int, seed: int):
         self.n = n
         self.exponent = exponent
         self.seed = seed
         self._struct_error = None
+        self.build_ms: dict[str, float] = {}
+        self._inner_ms = 0.0  # time of the phases built inside the current one
+
+    def _timed(self, phase: str, build):
+        outer, self._inner_ms = self._inner_ms, 0.0
+        started = time.perf_counter()
+        try:
+            return build()
+        finally:
+            total = (time.perf_counter() - started) * 1000.0
+            self.build_ms[phase] = total - self._inner_ms
+            self._inner_ms = outer + total
 
     @cached_property
     def taft(self) -> TaftAlgebra:
-        return TaftAlgebra(self.n, self.exponent)
+        return self._timed("taft", lambda: TaftAlgebra(self.n, self.exponent))
 
     @cached_property
     def hopf(self):
@@ -120,12 +139,15 @@ class BuildContext:
         if self._struct_error is not None:
             raise self._struct_error
         try:
-            return build_quasi_hopf(
-                self.n,
-                self.exponent,
-                taft=self.taft,
-                twist=self.twist,
-                associator_primitive=self.phi_prim,
+            return self._timed(
+                "struct",
+                lambda: build_quasi_hopf(
+                    self.n,
+                    self.exponent,
+                    taft=self.taft,
+                    twist=self.twist,
+                    associator_primitive=self.phi_prim,
+                ),
             )
         except (ConstructionError, SingularElementError) as err:
             self._struct_error = err
@@ -133,7 +155,7 @@ class BuildContext:
 
     @cached_property
     def twist(self):
-        return build_twist(self.taft)
+        return self._timed("twist", lambda: build_twist(self.taft))
 
     @cached_property
     def twist_inv(self):
@@ -141,7 +163,7 @@ class BuildContext:
 
     @cached_property
     def phi_prim(self):
-        return coboundary_associator(self.taft, self.twist)
+        return self._timed("phi_prim", lambda: coboundary_associator(self.taft, self.twist))
 
     def release(self):
         """Drop the heavy cached objects (results already extracted)."""
@@ -484,15 +506,31 @@ ALL_CHECK_NAMES = [name for name, _ in STRUCTURE_CHECKS] + [name for name, _ in 
 # -- suite driver -------------------------------------------------------------------
 
 
-def _run_check(name: str, check, *args) -> CheckResult:
-    """Time one check and name its result.  An exception (a structure that
-    cannot be built, say) becomes a failed check."""
+def _built_ms(contexts) -> float:
+    return sum(sum(ctx.build_ms.values()) for ctx in contexts)
+
+
+def _run_check(name: str, check, *args, contexts=()) -> CheckResult:
+    """Time one check and name its result.  The construction phases of
+    ``contexts`` that the check builds are charged to ``build_ms``, not to
+    the check.
+
+    An exception becomes a failed check: a structure that cannot be built is
+    a construction failure, and anything else an internal error named by its
+    type and the place it was raised.
+    """
+    built = _built_ms(contexts)
     started = time.perf_counter()
     try:
         witness = check(*args)
-    except Exception as err:  # construction failures surface as failed checks
+    except (ConstructionError, SingularElementError) as err:
         witness = f"construction failure: {err}"
-    return CheckResult(name, witness, (time.perf_counter() - started) * 1000.0)
+    except Exception as err:  # a programming error, not a counterexample
+        frame = traceback.extract_tb(err.__traceback__)[-1]
+        place = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        witness = f"internal error: {type(err).__name__} at {place}: {err}"
+    elapsed = (time.perf_counter() - started) * 1000.0
+    return CheckResult(name, witness, elapsed - (_built_ms(contexts) - built))
 
 
 def run_suite(config: RunConfig):
@@ -503,7 +541,11 @@ def run_suite(config: RunConfig):
     all_results = []
     results = []
     for pos, ctx in enumerate(contexts):
-        checks = [_run_check(name, fn, ctx) for name, fn in STRUCTURE_CHECKS if name in selected]
+        checks = [
+            _run_check(name, fn, ctx, contexts=(ctx,))
+            for name, fn in STRUCTURE_CHECKS
+            if name in selected
+        ]
         all_results += checks
         entry = {
             "n": ctx.n,
@@ -541,8 +583,12 @@ def run_suite(config: RunConfig):
                 if gcd(k, n) == 1
             ]
         else:
-            family.append(_run_check(name, fn, contexts, config.seed))
+            family.append(_run_check(name, fn, contexts, config.seed, contexts=contexts))
     all_results += family
+    if config.timings:
+        # after the family checks, which may build phases of the first structure
+        for entry, ctx in zip(results, contexts):
+            entry["build_ms"] = {k: round(v, 3) for k, v in ctx.build_ms.items()}
 
     failed = sum(1 for r in all_results if not r.passed)
     report = {

@@ -117,8 +117,8 @@ def _parse_args(argv):
     parser.add_argument(
         "--timings",
         action="store_true",
-        help="include per-check wall time in the report (breaks byte-for-byte "
-        "reproducibility)",
+        help="include per-check and construction-phase wall times in the report "
+        "(breaks byte-for-byte reproducibility)",
     )
     parser.add_argument("--list-checks", action="store_true", help="list check names and exit")
     return parser.parse_args(argv)

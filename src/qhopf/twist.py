@@ -16,6 +16,11 @@ constant on residue classes z mod n, which :func:`aggregate_to_bold` rewrites
 over the aggregated idempotents 1_s = sum_i 1_{s+ni}.  The checks compare
 in that frame too; monomial coordinates are left to the dumps.
 
+The five factors of the coboundary associator are diagonal in these
+coordinates, so its product is taken coefficient by coefficient over the
+(n^2)^3 idempotent triples, reading 1 (x) J and J^(-1) (x) 1 off J and
+J^(-1) instead of forming them.
+
 Closed forms for the twisted coproduct of x, the twisted antipode of x, the
 associator and the distinguished elements are provided as *references* to be
 compared against, each built in the coordinates the paper states it in: the
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
-from .algebra import AlgebraDescriptor, Tensor, apply_on_factor, conjugate, invert
+from .algebra import AlgebraDescriptor, Tensor, _tensor, apply_on_factor, conjugate, invert
 from .cyclotomic import Cyclotomic, one as cy_one
 from .taft import TaftAlgebra
 
@@ -110,19 +115,33 @@ def coboundary_associator(taft: TaftAlgebra, J: Tensor | None = None) -> Tensor:
 
         (1 (x) J) (id (x) Delta)(J) Phi (Delta (x) id)(J^(-1)) (J (x) 1)^(-1)
 
-    with Phi the trivial associator of the Hopf algebra H.  Returned in
-    idempotent coordinates of H^(x3).
+    with Phi = 1 (x) 1 (x) 1 the trivial associator of the Hopf algebra H.
+    Returned in idempotent coordinates of H^(x3).
+
+    All five factors lie on the idempotents, so the product is taken key by
+    key in one pass over 1_z (x) 1_w (x) 1_y: the coefficient is
+    J(w, y) (id (x) Delta)(J)(z, w, y) (Delta (x) id)(J^(-1))(z, w, y)
+    J^(-1)(z, w), multiplied left to right, with Phi contributing the unit.
+    The two coproduct factors are formed as tensors; 1 (x) J and J^(-1) (x) 1
+    are read off J and J^(-1).  A key missing from any factor is a zero
+    coefficient and is left out.
     """
     if J is None:
         J = build_twist(taft)
     Jinv = invert(J)
-    one1 = taft.H_idem.unit_tensor(1)
-    f1 = one1.tensor(J)
-    f2 = apply_on_factor(J, taft.delta_idem_basis, 2, 2)
-    phi0 = taft.H_idem.unit_tensor(3)
-    f4 = apply_on_factor(Jinv, taft.delta_idem_basis, 1, 2)
-    f5 = Jinv.tensor(one1)
-    return f1 * f2 * phi0 * f4 * f5
+    f2 = apply_on_factor(J, taft.delta_idem_basis, 2, 2).terms
+    f4 = apply_on_factor(Jinv, taft.delta_idem_basis, 1, 2).terms
+    inv = Jinv.terms
+    acc = {}
+    for z in taft.H_idem.unit:
+        for (w, y), cj in J.terms.items():
+            key = (z, w, y)
+            c2 = f2.get(key)
+            c4 = f4.get(key)
+            ci = inv.get((z, w))
+            if c2 is not None and c4 is not None and ci is not None:
+                acc[key] = cj * c2 * c4 * ci
+    return _tensor(taft.H_idem, 3, acc, True)
 
 
 def cyclic_associator(taft: TaftAlgebra, l: int) -> Tensor:

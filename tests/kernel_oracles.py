@@ -1,19 +1,25 @@
-"""The Tensor-sum antipode check, the dict-lookup cocycle check and the dense
-matrix product, kept as differential oracles.
+"""The Tensor-sum antipode check, the dict-lookup cocycle check, the dense
+matrix product, the five-factor coboundary associator and the slot map that
+multiplies by every image coefficient, kept as differential oracles.
 
 ``qhopf.axioms.check_antipode`` accumulates its sums into coefficient dicts,
-``qhopf.cocycle.check_cocycle`` reads a flat value table and
-``qhopf.linalg.mat_mul`` visits only nonzero entries.  Before that they summed
-whole Tensors term by term, looked every value up through
-``ThreeCochain.__call__`` and ran the full triple loop.  Those versions live
-on here unchanged, and the tests require equal results and equal witnesses.
+``qhopf.cocycle.check_cocycle`` reads a flat value table,
+``qhopf.linalg.mat_mul`` visits only nonzero entries,
+``qhopf.twist.coboundary_associator`` takes its product key by key and
+``qhopf.algebra.apply_on_factor`` skips image coefficients equal to 1.  Before
+that they summed whole Tensors term by term, looked every value up through
+``ThreeCochain.__call__``, ran the full triple loop, multiplied five
+materialised tensors and multiplied by every image coefficient.  Those
+versions live on here unchanged, and the tests require equal results and
+equal witnesses.
 """
 
 import random
 
-from qhopf.algebra import Tensor
+from qhopf.algebra import Tensor, invert
 from qhopf.axioms import _witness
 from qhopf.cyclotomic import zero
+from qhopf.twist import build_twist
 
 
 def check_antipode(S, pair_sample=25, seed=0):
@@ -110,3 +116,41 @@ def mat_mul(a, b):
             row.append(zero() if acc is None else acc)
         out.append(row)
     return out
+
+
+def apply_on_factor(u, fmap, position, out_rank):
+    if not 1 <= position <= u.rank:
+        raise ValueError(f"position {position} outside 1..{u.rank}")
+    p = position - 1
+    acc = {}
+    for key, c in u.terms.items():
+        img = fmap(key[p])
+        if out_rank == 0:
+            if img.is_zero():
+                continue
+            nk = key[:p] + key[p + 1 :]
+            prev = acc.get(nk)
+            v = c * img
+            acc[nk] = v if prev is None else prev + v
+        else:
+            if img.rank != out_rank:
+                raise ValueError("factor map produced unexpected rank")
+            for ikey, iv in img.terms.items():
+                nk = key[:p] + ikey + key[p + 1 :]
+                prev = acc.get(nk)
+                v = c * iv
+                acc[nk] = v if prev is None else prev + v
+    return Tensor(u.algebra, u.rank - 1 + out_rank, acc)
+
+
+def coboundary_associator(taft, J=None):
+    if J is None:
+        J = build_twist(taft)
+    Jinv = invert(J)
+    one1 = taft.H_idem.unit_tensor(1)
+    f1 = one1.tensor(J)
+    f2 = apply_on_factor(J, taft.delta_idem_basis, 2, 2)
+    phi0 = taft.H_idem.unit_tensor(3)
+    f4 = apply_on_factor(Jinv, taft.delta_idem_basis, 1, 2)
+    f5 = Jinv.tensor(one1)
+    return f1 * f2 * phi0 * f4 * f5

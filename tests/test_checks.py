@@ -1,6 +1,10 @@
 """The check registry: the closure sweep against its monomial route, the rule
-that library checks are called through this module's names, and the
-coboundaries of ``cocycle_invariance``."""
+that library checks are called through this module's names, the coboundaries
+of ``cocycle_invariance``, the timed construction phases and the wording of
+failures raised as exceptions."""
+
+import re
+import time
 
 import pytest
 
@@ -14,7 +18,9 @@ from qhopf.checks import (
     run_suite,
 )
 from qhopf.cli import coprime_exponents
+from qhopf.algebra import SingularElementError
 from qhopf.cocycle import ThreeCochain
+from qhopf.twist import ConstructionError
 
 from monomial_route import coproduct_closure
 
@@ -96,3 +102,66 @@ def test_cocycle_invariance_checks_each_coboundary_once(monkeypatch):
     assert len(drawn) == 10
     assert [sum(c is db for c in checked) for db in drawn] == [1] * 10
     assert len(checked) == 1 + 2 * 10
+
+
+PHASES = ["taft", "twist", "phi_prim", "struct"]
+
+
+def test_timed_report_times_the_construction_phases_apart(monkeypatch):
+    # the associator phase sleeps; the check that triggers it is not charged
+    original = qhopf.checks.coboundary_associator
+
+    def slow_associator(*args):
+        time.sleep(0.3)
+        return original(*args)
+
+    monkeypatch.setattr(qhopf.checks, "coboundary_associator", slow_associator)
+    config = RunConfig(n=2, q_exponents=[1, 3], checks=["associator_identity"], timings=True)
+    report, code = run_suite(config)
+    assert code == 0
+    for entry in report["structures"]:
+        build = entry["build_ms"]
+        assert list(build) == PHASES
+        assert all(isinstance(v, float) and v >= 0.0 for v in build.values())
+        assert build["phi_prim"] >= 300.0
+        [check] = entry["checks"]
+        assert check["elapsed_ms"] < 300.0
+
+
+def test_family_checks_charge_their_phases_to_the_structure():
+    config = RunConfig(n=2, q_exponents=[1], checks=["negative_controls"], timings=True)
+    report, code = run_suite(config)
+    assert code == 0
+    assert list(report["structures"][0]["build_ms"]) == PHASES
+
+
+def test_default_report_has_no_construction_times():
+    config = RunConfig(n=2, q_exponents=[1, 3], checks=["associator_identity", "negative_controls"])
+    report, _ = run_suite(config)
+    assert all("build_ms" not in entry for entry in report["structures"])
+
+
+def _failing_pentagon(monkeypatch, error):
+    def check_pentagon(structure):
+        raise error
+
+    monkeypatch.setattr(qhopf.checks, "check_pentagon", check_pentagon)
+    report, code = run_suite(RunConfig(n=2, q_exponents=[1], checks=["pentagon"]))
+    assert code == 1
+    [check] = report["structures"][0]["checks"]
+    assert check["status"] == "fail"
+    return check["witness"]
+
+
+def test_a_programming_error_is_reported_as_an_internal_error(monkeypatch):
+    witness = _failing_pentagon(monkeypatch, TypeError("unsupported operand"))
+    assert re.fullmatch(
+        r"internal error: TypeError at test_checks\.py:\d+: unsupported operand", witness
+    ), witness
+
+
+@pytest.mark.parametrize(
+    "error", [ConstructionError("leaves A"), SingularElementError("leaves A")]
+)
+def test_a_construction_error_is_reported_as_a_construction_failure(monkeypatch, error):
+    assert _failing_pentagon(monkeypatch, error) == "construction failure: leaves A"

@@ -1,8 +1,10 @@
 """The arithmetic-only kernels against their oracles in ``kernel_oracles``:
 ``check_antipode`` on every structure at n = 2..4 and on corrupted frames,
-``check_cocycle`` on random cochains, ``mat_mul`` on random sparse matrices.
-Results and witnesses must be equal, and so must every product entry with its
-conductor and its rendering."""
+``check_cocycle`` on random cochains, ``mat_mul`` on random sparse matrices,
+``apply_on_factor`` on random tensors and ``coboundary_associator`` on every
+structure at n = 2..5, at n = 6, e = 1, and on defective twists.  Results and
+witnesses must be equal, and so must every product entry with its conductor
+and its rendering, and every tensor term with its key order."""
 
 import random
 from dataclasses import replace
@@ -11,13 +13,16 @@ from functools import lru_cache
 import pytest
 
 import kernel_oracles as oracle
+from qhopf.algebra import SingularElementError, Tensor, apply_on_factor
 from qhopf.axioms import check_antipode
-from qhopf.checks import BuildContext
+from qhopf.checks import BuildContext, _chk_associator_identity
 from qhopf.cli import coprime_exponents
 from qhopf.cocycle import ThreeCochain, check_cocycle, cyclic_cochain, random_coboundary
 from qhopf.corruptions import corrupted_alpha
 from qhopf.cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero
 from qhopf.linalg import mat_mul
+from qhopf.taft import TaftAlgebra
+from qhopf.twist import build_twist, coboundary_associator
 
 STRUCTURES = [(n, e) for n in (2, 3, 4) for e in coprime_exponents(n)]
 
@@ -148,3 +153,103 @@ def test_sparse_product_matches_the_triple_loop():
             for x, y in zip(row_g, row_w):
                 assert isinstance(x, Cyclotomic)
                 assert x == y and x.conductor == y.conductor and x.render() == y.render()
+
+
+def _same_terms(got, want):
+    """Equal keys in equal order, and equal conductor and power-basis
+    coefficients at every key."""
+    assert got.rank == want.rank
+    assert list(got.terms) == list(want.terms)
+    for x, y in zip(got.terms.values(), want.terms.values()):
+        assert x.conductor == y.conductor and x.coeffs == y.coeffs
+
+
+def _random_coefficient(rng):
+    """A tagged root, a unit of conductor 1, 3 or 9 (tagged or not), an
+    untagged multiple or a mixed-conductor sum."""
+    kind = rng.randrange(5)
+    m = rng.choice([1, 3, 9, 12])
+    if kind == 0:
+        return root_of_unity(m, rng.randrange(m))
+    if kind == 1:
+        unit = cy_one(rng.choice([1, 3, 9]))
+        return unit if rng.random() < 0.5 else Cyclotomic(unit.conductor, {0: 1})
+    if kind == 2:
+        return root_of_unity(m, rng.randrange(m)) * rng.choice([2, -1])
+    if kind == 3:
+        return -root_of_unity(m, rng.randrange(m))
+    return root_of_unity(m, rng.randrange(m)) + root_of_unity(4, 1)
+
+
+def _random_tensor(rng, d, rank, size):
+    return Tensor(
+        d,
+        rank,
+        {
+            tuple(rng.randrange(d.dim) for _ in range(rank)): _random_coefficient(rng)
+            for _ in range(size)
+        },
+    )
+
+
+def test_apply_on_factor_matches_the_multiplying_loop():
+    rng = random.Random("slot maps")
+    d = TaftAlgebra(2).H_idem
+    for _ in range(60):
+        out_rank = rng.randrange(3)
+        if out_rank:
+            images = {i: _random_tensor(rng, d, out_rank, rng.randint(0, 4)) for i in range(d.dim)}
+        else:
+            images = {i: _random_coefficient(rng) if rng.random() < 0.8 else zero() for i in range(d.dim)}
+        rank = rng.randint(1, 3)
+        u = _random_tensor(rng, d, rank, rng.randint(1, 12))
+        position = rng.randint(1, rank)
+        _same_terms(
+            apply_on_factor(u, images.__getitem__, position, out_rank),
+            oracle.apply_on_factor(u, images.__getitem__, position, out_rank),
+        )
+
+
+@pytest.mark.parametrize(
+    "n,e", [(n, e) for n in (2, 3, 4, 5) for e in coprime_exponents(n)] + [(6, 1)]
+)
+def test_coboundary_associator_matches_the_five_factor_product(n, e):
+    t = TaftAlgebra(n, e)
+    J = build_twist(t)
+    _same_terms(coboundary_associator(t, J), oracle.coboundary_associator(t, J))
+
+
+def _defective_twist(t, key, factor):
+    """J with the coefficient at ``key`` scaled by ``factor``, or dropped
+    when ``factor`` is None."""
+    terms = dict(build_twist(t).terms)
+    if factor is None:
+        del terms[key]
+    else:
+        terms[key] = terms[key] * factor
+    return Tensor(t.H_idem, 2, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_associator_routes_agree_on_a_scaled_twist(n):
+    t = TaftAlgebra(n, 1)
+    J = _defective_twist(t, (t.m, 2 * t.m), t.q)
+    phi = coboundary_associator(t, J)
+    _same_terms(phi, oracle.coboundary_associator(t, J))
+    witnesses = []
+    for route in (coboundary_associator, oracle.coboundary_associator):
+        ctx = BuildContext(n, 1, 0)
+        ctx.twist = J
+        ctx.phi_prim = route(t, J)
+        witnesses.append(_chk_associator_identity(ctx))
+    assert witnesses[0] == witnesses[1]
+    assert witnesses[0].startswith("coboundary differs from the l = -1 associator at")
+
+
+def test_associator_routes_reject_a_twist_with_a_missing_key():
+    t = TaftAlgebra(3, 1)
+    J = _defective_twist(t, (t.m, 2 * t.m), None)
+    for route in (coboundary_associator, oracle.coboundary_associator):
+        with pytest.raises(SingularElementError) as err:
+            route(t, J)
+        assert err.value.witness == (t.m, 2 * t.m)
