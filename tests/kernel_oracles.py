@@ -19,7 +19,6 @@ import random
 from qhopf.algebra import Tensor, invert
 from qhopf.axioms import _witness
 from qhopf.cyclotomic import zero
-from qhopf.twist import build_twist
 
 
 def check_antipode(S, pair_sample=25, seed=0):
@@ -143,9 +142,7 @@ def apply_on_factor(u, fmap, position, out_rank):
     return Tensor(u.algebra, u.rank - 1 + out_rank, acc)
 
 
-def coboundary_associator(taft, J=None):
-    if J is None:
-        J = build_twist(taft)
+def coboundary_associator(taft, J):
     Jinv = invert(J)
     one1 = taft.H_idem.unit_tensor(1)
     f1 = one1.tensor(J)

@@ -165,20 +165,12 @@ def _same_terms(got, want):
 
 
 def _random_coefficient(rng):
-    """A tagged root, a unit of conductor 1, 3 or 9 (tagged or not), an
-    untagged multiple or a mixed-conductor sum."""
-    kind = rng.randrange(5)
-    m = rng.choice([1, 3, 9, 12])
-    if kind == 0:
-        return root_of_unity(m, rng.randrange(m))
-    if kind == 1:
+    """A unit of conductor 1, 3 or 9, tagged or not, or one of
+    ``_random_value``'s tagged, untagged and mixed-conductor values."""
+    if rng.random() < 0.3:
         unit = cy_one(rng.choice([1, 3, 9]))
         return unit if rng.random() < 0.5 else Cyclotomic(unit.conductor, {0: 1})
-    if kind == 2:
-        return root_of_unity(m, rng.randrange(m)) * rng.choice([2, -1])
-    if kind == 3:
-        return -root_of_unity(m, rng.randrange(m))
-    return root_of_unity(m, rng.randrange(m)) + root_of_unity(4, 1)
+    return _random_value(rng, rng.choice([1, 3, 9, 12]))
 
 
 def _random_tensor(rng, d, rank, size):
