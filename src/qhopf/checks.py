@@ -456,7 +456,11 @@ def _fam_cocycle_invariance(contexts, seed, rounds: int = 50) -> str | None:
 
 
 def _fam_distinguish_pairs(contexts, seed) -> str | None:
-    # the runner stores each structure's invariant before releasing it
+    # the runner stores each structure's invariant, or the error computing
+    # it raised, before releasing the structure
+    for ctx in contexts:
+        if isinstance(ctx.invariant, Exception):
+            raise ctx.invariant
     for i, first in enumerate(contexts):
         for second in contexts[i + 1 :]:
             if first.invariant == second.invariant:
@@ -562,10 +566,12 @@ def run_suite(config: RunConfig):
             except (ConstructionError, SingularElementError):
                 pass  # the selected checks report the construction failure
         if "distinguish_pairs" in selected:
+            # an error is kept for distinguish_pairs to raise: a structure
+            # without an invariant is not distinguished from anything
             try:
                 ctx.invariant = structure_invariant(ctx.struct)
             except Exception as err:
-                ctx.invariant = ("construction failure", str(err), ctx.exponent)
+                ctx.invariant = err
         # keep only the first context alive for the family checks
         if pos > 0:
             ctx.release()

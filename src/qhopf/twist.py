@@ -18,8 +18,11 @@ in that frame too; monomial coordinates are left to the dumps.
 
 The five factors of the coboundary associator are diagonal in these
 coordinates, so its product is taken coefficient by coefficient over the
-(n^2)^3 idempotent triples, reading 1 (x) J and J^(-1) (x) 1 off J and
-J^(-1) instead of forming them.
+(n^2)^3 idempotent triples.  Each factor is a flat list indexed by
+idempotent position (z n^2 + w for 1_z (x) 1_w, and so on): 1 (x) J and
+J^(-1) (x) 1 are read off J and J^(-1), and the two coproduct factors are
+spread from them through the images Delta(1_v), read once.  Aggregation
+onto A maps each slot through one cached table of residue classes.
 
 Closed forms for the twisted coproduct of x, the twisted antipode of x, the
 associator and the distinguished elements are provided as *references* to be
@@ -110,6 +113,60 @@ def twist_inverse(taft: TaftAlgebra) -> Tensor:
 # -- associators ---------------------------------------------------------------
 
 
+def _coproduct_images(taft: TaftAlgebra) -> list:
+    """Delta(1_v) for each v < m as (position, coefficient, is one) triples,
+    the position of 1_a (x) 1_b being a m + b.
+
+    A term off the idempotent sub-basis would put the coproduct factors of
+    the coboundary there; that is a programming error and raises a plain
+    :class:`ValueError` naming the term, as :func:`invert` does.
+    """
+    m = taft.m
+    diag = taft.H_idem.diag_indices
+    images = []
+    for v in range(m):
+        terms = []
+        for key, c in taft.delta_idem_basis(v * m).terms.items():
+            k1, k2 = key
+            if k1 not in diag or k2 not in diag:
+                raise ValueError(
+                    "coproduct factor leaves the idempotent sub-basis: "
+                    f"Delta(1_{v}) has the term {key}"
+                )
+            terms.append((k1 // m * m + k2 // m, c, c.is_one()))
+        images.append(terms)
+    return images
+
+
+def _spread(u: Tensor, images: list, m: int, position: int) -> list:
+    """(id (x) Delta)(u) for ``position`` 2, (Delta (x) id)(u) for 1, as a
+    flat list over the idempotent triples 1_z (x) 1_w (x) 1_y at position
+    (z m + w) m + y, with None for a zero coefficient.
+
+    The same sums as :func:`apply_on_factor` makes, term by term: an image
+    coefficient equal to 1 leaves c as it is when c's conductor allows.
+    """
+    flat = [None] * m**3
+    summed = False
+    for (a, b), c in u.terms.items():
+        if position == 2:
+            base, image, step = a // m * m * m, images[b // m], 1
+        else:
+            base, image, step = b // m, images[a // m], m
+        for q, iv, unit in image:
+            v = c if unit and not c.conductor % iv.conductor else c * iv
+            i = base + q * step
+            prev = flat[i]
+            if prev is None:
+                flat[i] = v
+            else:
+                flat[i] = prev + v
+                summed = True
+    if summed:
+        flat = [None if c is None or c.is_zero() else c for c in flat]
+    return flat
+
+
 def coboundary_associator(taft: TaftAlgebra, J: Tensor | None = None) -> Tensor:
     """The associator of the twisted structure, computed literally as
 
@@ -122,25 +179,33 @@ def coboundary_associator(taft: TaftAlgebra, J: Tensor | None = None) -> Tensor:
     key in one pass over 1_z (x) 1_w (x) 1_y: the coefficient is
     J(w, y) (id (x) Delta)(J)(z, w, y) (Delta (x) id)(J^(-1))(z, w, y)
     J^(-1)(z, w), multiplied left to right, with Phi contributing the unit.
-    The two coproduct factors are formed as tensors; 1 (x) J and J^(-1) (x) 1
-    are read off J and J^(-1).  A key missing from any factor is a zero
-    coefficient and is left out.
+    Each factor is held as a flat list indexed by idempotent position, z m + w
+    for pairs and (z m + w) m + y for triples: J^(-1) directly, the two
+    coproduct factors spread from J and J^(-1) through the images Delta(1_v),
+    each read once.  A key missing from any factor is a zero coefficient and
+    is left out; the keys come z over the unit, then (w, y) in J's order.
     """
     if J is None:
         J = build_twist(taft)
     Jinv = invert(J)
-    f2 = apply_on_factor(J, taft.delta_idem_basis, 2, 2).terms
-    f4 = apply_on_factor(Jinv, taft.delta_idem_basis, 1, 2).terms
-    inv = Jinv.terms
+    m = taft.m
+    images = _coproduct_images(taft)
+    f2 = _spread(J, images, m, 2)
+    f4 = _spread(Jinv, images, m, 1)
+    inv = [None] * (m * m)
+    for (a, b), c in Jinv.terms.items():
+        inv[a // m * m + b // m] = c
+    row = [(w, y, w // m, w // m * m + y // m, cj) for (w, y), cj in J.terms.items()]
     acc = {}
     for z in taft.H_idem.unit:
-        for (w, y), cj in J.terms.items():
-            key = (z, w, y)
-            c2 = f2.get(key)
-            c4 = f4.get(key)
-            ci = inv.get((z, w))
+        pz = z // m
+        base, ibase = pz * m * m, pz * m
+        for w, y, pw, p, cj in row:
+            c2 = f2[base + p]
+            c4 = f4[base + p]
+            ci = inv[ibase + pw]
             if c2 is not None and c4 is not None and ci is not None:
-                acc[key] = cj * c2 * c4 * ci
+                acc[(z, w, y)] = cj * c2 * c4 * ci
     return _tensor(taft.H_idem, 3, acc, True)
 
 
@@ -158,7 +223,8 @@ def cyclic_associator(taft: TaftAlgebra, l: int) -> Tensor:
                 i, j, k = z % n, w % n, y % n
                 e = (i * l * (j + k - (j + k) % n)) % m
                 terms[(z * m, w * m, y * m)] = taft.q_power(e)
-    return Tensor(taft.H_idem, 3, terms)
+    # roots of unity are nonzero: no cleaning pass
+    return _tensor(taft.H_idem, 3, terms, True)
 
 
 def cyclic_associator_bold(taft: TaftAlgebra, l: int) -> Tensor:
@@ -173,6 +239,13 @@ def cyclic_associator_bold(taft: TaftAlgebra, l: int) -> Tensor:
     return Tensor(taft.A_bold, 3, terms)
 
 
+@cache
+def _bold_slots(n: int, m: int) -> tuple:
+    """For each basis index 1_z x^j of H's idempotent coordinates, the index
+    of 1_(z mod n) x^j over the aggregated idempotents of A."""
+    return tuple((slot // m % n) * m + slot % m for slot in range(m * m))
+
+
 def aggregate_to_bold(taft: TaftAlgebra, u: Tensor) -> Tensor:
     """Rewrite an idempotent-coordinate element of H^(x r) over the
     aggregated idempotents of A.
@@ -182,14 +255,15 @@ def aggregate_to_bold(taft: TaftAlgebra, u: Tensor) -> Tensor:
     in A^(x r) and raises :class:`ConstructionError` with the witness term.
     """
     n, m = taft.n, taft.m
+    bold = _bold_slots(n, m).__getitem__
     chosen: dict = {}
     counts: dict = {}
     for key, c in u.terms.items():
-        bold_key = tuple((slot // m % n) * m + slot % m for slot in key)
+        bold_key = tuple(map(bold, key))
         prev = chosen.get(bold_key)
         if prev is None:
             chosen[bold_key] = c
-        elif prev != c:
+        elif prev is not c and prev != c:  # equal roots are one table entry
             raise ConstructionError(
                 f"element is not supported on A: coefficient at {key} breaks "
                 "residue-class constancy",

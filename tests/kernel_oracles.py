@@ -1,17 +1,20 @@
 """The Tensor-sum antipode check, the dict-lookup cocycle check, the dense
-matrix product, the five-factor coboundary associator and the slot map that
-multiplies by every image coefficient, kept as differential oracles.
+matrix product, the five-factor coboundary associator, the slot map that
+multiplies by every image coefficient and the aggregation that maps every
+slot by arithmetic, kept as differential oracles.
 
 ``qhopf.axioms.check_antipode`` accumulates its sums into coefficient dicts,
 ``qhopf.cocycle.check_cocycle`` reads a flat value table,
 ``qhopf.linalg.mat_mul`` visits only nonzero entries,
-``qhopf.twist.coboundary_associator`` takes its product key by key and
-``qhopf.algebra.apply_on_factor`` skips image coefficients equal to 1.  Before
-that they summed whole Tensors term by term, looked every value up through
-``ThreeCochain.__call__``, ran the full triple loop, multiplied five
-materialised tensors and multiplied by every image coefficient.  Those
-versions live on here unchanged, and the tests require equal results and
-equal witnesses.
+``qhopf.twist.coboundary_associator`` takes its product key by key over flat
+tables indexed by idempotent position, ``qhopf.algebra.apply_on_factor``
+skips image coefficients equal to 1 and ``qhopf.twist.aggregate_to_bold``
+maps slots through a cached table and compares equal roots by identity first.
+Before that they summed whole Tensors term by term, looked every value up
+through ``ThreeCochain.__call__``, ran the full triple loop, multiplied five
+materialised tensors, multiplied by every image coefficient and computed
+each aggregated slot with a generator expression.  Those versions live on
+here unchanged, and the tests require equal results and equal witnesses.
 """
 
 import random
@@ -19,6 +22,7 @@ import random
 from qhopf.algebra import Tensor, invert
 from qhopf.axioms import _witness
 from qhopf.cyclotomic import zero
+from qhopf.twist import ConstructionError
 
 
 def check_antipode(S, pair_sample=25, seed=0):
@@ -151,3 +155,30 @@ def coboundary_associator(taft, J):
     f4 = apply_on_factor(Jinv, taft.delta_idem_basis, 1, 2)
     f5 = Jinv.tensor(one1)
     return f1 * f2 * phi0 * f4 * f5
+
+
+def aggregate_to_bold(taft, u):
+    n, m = taft.n, taft.m
+    chosen = {}
+    counts = {}
+    for key, c in u.terms.items():
+        bold_key = tuple((slot // m % n) * m + slot % m for slot in key)
+        prev = chosen.get(bold_key)
+        if prev is None:
+            chosen[bold_key] = c
+        elif prev != c:
+            raise ConstructionError(
+                f"element is not supported on A: coefficient at {key} breaks "
+                "residue-class constancy",
+                witness=(key, c, prev),
+            )
+        counts[bold_key] = counts.get(bold_key, 0) + 1
+    per_class = (m // n) ** u.rank
+    for bold_key, count in counts.items():
+        if count != per_class:
+            raise ConstructionError(
+                f"element is not supported on A: class {bold_key} hit {count} "
+                f"of {per_class} representatives",
+                witness=bold_key,
+            )
+    return Tensor(taft.A_bold, u.rank, chosen)

@@ -165,3 +165,28 @@ def test_a_programming_error_is_reported_as_an_internal_error(monkeypatch):
 )
 def test_a_construction_error_is_reported_as_a_construction_failure(monkeypatch, error):
     assert _failing_pentagon(monkeypatch, error) == "construction failure: leaves A"
+
+
+def _failing_invariant(monkeypatch, error):
+    def structure_invariant(structure):
+        raise error
+
+    monkeypatch.setattr(qhopf.checks, "structure_invariant", structure_invariant)
+    report, code = run_suite(RunConfig(n=2, q_exponents=[1, 3], checks=["distinguish_pairs"]))
+    assert code == 1
+    [check] = report["family_checks"]
+    assert check["name"] == "distinguish_pairs" and check["status"] == "fail"
+    return check["witness"]
+
+
+def test_distinguish_pairs_fails_when_an_invariant_raises(monkeypatch):
+    # two errors are not two distinct invariants
+    witness = _failing_invariant(monkeypatch, TypeError("unhashable spectrum"))
+    assert re.fullmatch(
+        r"internal error: TypeError at test_checks\.py:\d+: unhashable spectrum", witness
+    ), witness
+
+
+def test_distinguish_pairs_reports_a_construction_error_as_a_construction_failure(monkeypatch):
+    witness = _failing_invariant(monkeypatch, ConstructionError("leaves A"))
+    assert witness == "construction failure: leaves A"

@@ -1,8 +1,10 @@
 """The arithmetic-only kernels against their oracles in ``kernel_oracles``:
 ``check_antipode`` on every structure at n = 2..4 and on corrupted frames,
 ``check_cocycle`` on random cochains, ``mat_mul`` on random sparse matrices,
-``apply_on_factor`` on random tensors and ``coboundary_associator`` on every
-structure at n = 2..5, at n = 6, e = 1, and on defective twists.  Results and
+``apply_on_factor`` on random tensors, ``coboundary_associator`` on every
+structure at n = 2..5, at n = 6, e = 1, and on defective twists, and
+``aggregate_to_bold`` on those associators, on the ambient powers of the
+twisted coproduct of x at n <= 3 and on elements that leave A.  Results and
 witnesses must be equal, and so must every product entry with its conductor
 and its rendering, and every tensor term with its key order."""
 
@@ -13,7 +15,7 @@ from functools import lru_cache
 import pytest
 
 import kernel_oracles as oracle
-from qhopf.algebra import SingularElementError, Tensor, apply_on_factor
+from qhopf.algebra import SingularElementError, Tensor, apply_on_factor, conjugate, invert
 from qhopf.axioms import check_antipode
 from qhopf.checks import BuildContext, _chk_associator_identity
 from qhopf.cli import coprime_exponents
@@ -22,7 +24,7 @@ from qhopf.corruptions import corrupted_alpha
 from qhopf.cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero
 from qhopf.linalg import mat_mul
 from qhopf.taft import TaftAlgebra
-from qhopf.twist import build_twist, coboundary_associator
+from qhopf.twist import ConstructionError, aggregate_to_bold, build_twist, coboundary_associator
 
 STRUCTURES = [(n, e) for n in (2, 3, 4) for e in coprime_exponents(n)]
 
@@ -202,9 +204,10 @@ def test_apply_on_factor_matches_the_multiplying_loop():
         )
 
 
-@pytest.mark.parametrize(
-    "n,e", [(n, e) for n in (2, 3, 4, 5) for e in coprime_exponents(n)] + [(6, 1)]
-)
+ASSOCIATOR_STRUCTURES = [(n, e) for n in (2, 3, 4, 5) for e in coprime_exponents(n)] + [(6, 1)]
+
+
+@pytest.mark.parametrize("n,e", ASSOCIATOR_STRUCTURES)
 def test_coboundary_associator_matches_the_five_factor_product(n, e):
     t = TaftAlgebra(n, e)
     J = build_twist(t)
@@ -245,3 +248,84 @@ def test_associator_routes_reject_a_twist_with_a_missing_key():
         with pytest.raises(SingularElementError) as err:
             route(t, J)
         assert err.value.witness == (t.m, 2 * t.m)
+
+
+def test_coboundary_associator_rejects_a_coproduct_off_the_idempotents(monkeypatch):
+    # the five-factor product would drop the stray term silently
+    t = TaftAlgebra(2, 1)
+    delta = t.delta_idem_basis
+
+    def stray(idx):
+        image = delta(idx)
+        return Tensor(t.H_idem, 2, {**image.terms, (idx, 1): cy_one()})
+
+    monkeypatch.setattr(t, "delta_idem_basis", stray)
+    with pytest.raises(ValueError) as err:
+        coboundary_associator(t, build_twist(t))
+    assert err.type is ValueError
+    assert str(err.value) == (
+        "coproduct factor leaves the idempotent sub-basis: Delta(1_0) has the term (0, 1)"
+    )
+
+
+def _aggregation_outcome(route, t, u):
+    """The aggregated tensor, or the message and witness of the refusal."""
+    try:
+        return route(t, u)
+    except ConstructionError as err:
+        return str(err), err.witness
+
+
+def _same_aggregation(t, u):
+    got = _aggregation_outcome(aggregate_to_bold, t, u)
+    want = _aggregation_outcome(oracle.aggregate_to_bold, t, u)
+    if isinstance(want, Tensor):
+        assert isinstance(got, Tensor) and got.algebra is want.algebra
+        _same_terms(got, want)
+    else:
+        assert got == want
+    return got
+
+
+@pytest.mark.parametrize("n,e", ASSOCIATOR_STRUCTURES)
+def test_aggregation_matches_the_slot_arithmetic_on_the_associator(n, e):
+    t = TaftAlgebra(n, e)
+    _same_aggregation(t, coboundary_associator(t, build_twist(t)))
+
+
+@pytest.mark.parametrize("n,e", [(n, e) for n in (2, 3) for e in coprime_exponents(n)])
+def test_aggregation_matches_the_slot_arithmetic_on_coproduct_powers(n, e):
+    t = TaftAlgebra(n, e)
+    J = build_twist(t)
+    dx = conjugate(J, t.to_idem(t.delta(t.x)), invert(J))
+    power = t.H_idem.unit_tensor(2)
+    for j in range(t.m):
+        if j:
+            power = power * dx
+        _same_aggregation(t, power)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_aggregation_refuses_like_the_slot_arithmetic(n):
+    t = TaftAlgebra(n, 1)
+    m = t.m
+    terms = coboundary_associator(t, build_twist(t)).terms
+    # 1_1 (x) 1_0 (x) 1_2 comes before this key in its class
+    key = ((n + 1) * m, 0, 2 * m)
+    scaled = dict(terms)
+    scaled[key] = scaled[key] * t.q
+    message, witness = _same_aggregation(t, Tensor(t.H_idem, 3, scaled))
+    assert message == (
+        f"element is not supported on A: coefficient at {key} breaks residue-class constancy"
+    )
+    assert witness[0] == key
+    dropped = dict(terms)
+    del dropped[key]
+    message, witness = _same_aggregation(t, Tensor(t.H_idem, 3, dropped))
+    per_class = n**3
+    bold_key = (m, 0, 2 % n * m)
+    assert message == (
+        f"element is not supported on A: class {bold_key} hit {per_class - 1} "
+        f"of {per_class} representatives"
+    )
+    assert witness == bold_key

@@ -122,8 +122,10 @@ def test_cyclic_family_example_values(t3):
 def test_aggregate_rejects_non_A_elements(t2):
     # a single primitive idempotent term is not constant on its class
     u = Tensor(t2.H_idem, 1, {(1 * t2.m,): cy_one()})
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError) as err:
         aggregate_to_bold(t2, u)
+    assert str(err.value) == "element is not supported on A: class (4,) hit 1 of 2 representatives"
+    assert err.value.witness == (4,)
 
 
 def test_twisted_coproduct_of_x_closed_form(t2, t3):
