@@ -178,6 +178,17 @@ class Tensor:
     def scale(self, c) -> "Tensor":
         return Tensor(self.algebra, self.rank, {k: v * c for k, v in self.terms.items()})
 
+    @staticmethod
+    def combination(algebra: AlgebraDescriptor, rank: int, scaled) -> "Tensor":
+        """The sum of c u over the (u, c) pairs of ``scaled``, c nonzero,
+        accumulated in one coefficient dict: equal term for term, and in key
+        order, to adding the tensors ``u.scale(c)`` one at a time."""
+        acc: dict = {}
+        for u, c in scaled:
+            for key, v in u.terms.items():
+                _add_term(acc, key, v * c)
+        return _tensor(algebra, rank, acc)
+
     # -- multiplicative structure ---------------------------------------------
 
     def __mul__(self, other):
@@ -292,6 +303,19 @@ def _tensor(algebra: AlgebraDescriptor, rank: int, terms: dict, diag=None) -> Te
     u.terms = terms
     u._diag = diag
     return u
+
+
+def _add_term(acc: dict, key, v: Cyclotomic):
+    """acc[key] += v, dropping a sum that cancels, as Tensor addition drops it."""
+    prev = acc.get(key)
+    if prev is None:
+        acc[key] = v
+    else:
+        v = prev + v
+        if v:
+            acc[key] = v
+        else:
+            del acc[key]
 
 
 def _acc_product(acc: dict, d: AlgebraDescriptor, ukey, cu, vkey, cv):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Tensor, apply_on_factor, conjugate
+from .algebra import Tensor, _add_term, apply_on_factor, conjugate
 from .cyclotomic import Cyclotomic, one as cy_one, zero as cy_zero
 from .twist import Coordinates, QuasiHopf
 
@@ -131,19 +131,6 @@ def check_counit(S: QuasiHopf, pair_sample: int = 40, seed: int = 0) -> str | No
                 f"{lhs.render()} vs {rhs.render()}"
             )
     return None
-
-
-def _add_term(acc: dict, k: int, v: Cyclotomic):
-    """acc[k] += v, dropping a sum that cancels, as Tensor addition drops it."""
-    prev = acc.get(k)
-    if prev is None:
-        acc[k] = v
-    else:
-        v = prev + v
-        if v:
-            acc[k] = v
-        else:
-            del acc[k]
 
 
 def _accumulate(acc: dict, d, left, right, c: Cyclotomic):

@@ -177,18 +177,11 @@ def _numerators(coeffs: dict) -> tuple[int, dict]:
 def _over(m: int, nums: list, den: int) -> "Cyclotomic":
     """The element of conductor m with power-basis coefficients nums[e] / den
     for e < phi(m), stored as ints where they are integral."""
-    clean = {}
+    low = nums[: euler_phi(m)]
     if den == 1:
-        for e in range(euler_phi(m)):
-            v = nums[e]
-            if v:
-                clean[e] = v
+        clean = {e: v for e, v in enumerate(low) if v}
     else:
-        for e in range(euler_phi(m)):
-            v = nums[e]
-            if v:
-                q, r = divmod(v, den)
-                clean[e] = Fraction(v, den) if r else q
+        clean = {e: Fraction(v, den) if v % den else v // den for e, v in enumerate(low) if v}
     self = object.__new__(Cyclotomic)
     self.conductor = m
     self._c = clean
@@ -196,11 +189,20 @@ def _over(m: int, nums: list, den: int) -> "Cyclotomic":
     return self
 
 
+@lru_cache(maxsize=None)
+def _shift_rows(m: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each e < phi(m), the reduction row of z^(e + k) as (exponent,
+    coefficient) pairs: where zeta_m^k sends the power-basis term z^e."""
+    rows = _reduction_rows(m)
+    return tuple(tuple(rows[(e + k) % m].items()) for e in range(euler_phi(m)))
+
+
 def _root_times(m1: int, k: int, x: "Cyclotomic") -> "Cyclotomic":
     """zeta_m1^k times the untagged element x, in the conductor lcm(m1, m(x)).
 
     Each term z^e of x (lifted to that conductor) goes to the reduction row
-    of z^(e + k), with k rescaled to the common conductor.
+    of z^(e + k), with k rescaled to the common conductor; the rows are
+    tabled once per shift (``_shift_rows``).
     """
     m = x.conductor
     if m % m1:
@@ -208,12 +210,11 @@ def _root_times(m1: int, k: int, x: "Cyclotomic") -> "Cyclotomic":
         x = x.embed(m)
     if not k:
         return x
-    k *= m // m1
-    rows = _reduction_rows(m)
+    rows = _shift_rows(m, k * (m // m1) % m)
     den, nums = _numerators(x._c)
     out = [0] * euler_phi(m)
     for e, v in nums.items():
-        for e2, c2 in rows[(e + k) % m].items():
+        for e2, c2 in rows[e]:
             out[e2] += v * c2
     return _over(m, out, den)
 

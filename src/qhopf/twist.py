@@ -18,11 +18,11 @@ in that frame too; monomial coordinates are left to the dumps.
 
 The five factors of the coboundary associator are diagonal in these
 coordinates, so its product is taken coefficient by coefficient over the
-(n^2)^3 idempotent triples.  Each factor is a flat list indexed by
-idempotent position (z n^2 + w for 1_z (x) 1_w, and so on): 1 (x) J and
-J^(-1) (x) 1 are read off J and J^(-1), and the two coproduct factors are
-spread from them through the images Delta(1_v), read once.  Aggregation
-onto A maps each slot through one cached table of residue classes.
+(n^2)^3 idempotent triples, each factor a flat list indexed by idempotent
+position; aggregation onto A maps each slot through one cached table.  The
+frame coproduct is an algebra map, Delta(1_s x^b) = Delta(1_s) Delta(x)^b,
+built as Delta(1_s x^(b-1)) Delta(x): one product per entry, on one chain
+per s grown on first demand.
 
 Closed forms for the twisted coproduct of x, the twisted antipode of x, the
 associator and the distinguished elements are provided as *references* to be
@@ -312,13 +312,13 @@ def antipode_elements(taft: TaftAlgebra, J: Tensor | None = None):
     """
     if J is None:
         J = build_twist(taft)
-    Jinv = invert(J)
-    alpha = Tensor(taft.H_idem, 1, {})
-    beta = Tensor(taft.H_idem, 1, {})
-    for (kf, kg), c in Jinv.terms.items():
-        alpha = alpha + (taft.antipode_idem_basis(kf) * taft.H_idem.basis_tensor((kg,))).scale(c)
-    for (kf, kg), c in J.terms.items():
-        beta = beta + (taft.H_idem.basis_tensor((kf,)) * taft.antipode_idem_basis(kg)).scale(c)
+    d, S = taft.H_idem, taft.antipode_idem_basis
+    alpha = Tensor.combination(
+        d, 1, ((S(f) * d.basis_tensor((g,)), c) for (f, g), c in invert(J).terms.items())
+    )
+    beta = Tensor.combination(
+        d, 1, ((d.basis_tensor((f,)) * S(g), c) for (f, g), c in J.terms.items())
+    )
     return alpha, beta
 
 
@@ -455,25 +455,25 @@ def build_quasi_hopf(
     phi = aggregate_to_bold(t, phi_prim)
     phi_inv = invert(phi)
 
-    # twisted coproduct of x and of each 1_s, by literal conjugation; the
-    # coproduct is an algebra map: Delta(1_s x^b) = Delta(1_s) Delta(x)^b
+    # twisted coproduct of x and of each 1_s, by literal conjugation; the coproduct
+    # is an algebra map, Delta(1_s x^b) = Delta(1_s) Delta(x)^b = Delta(1_s x^(b-1)) Delta(x)
+    # by associativity in A (x) A: one chain per s, one product per entry, grown on demand
     dx_f = onto_frame(
         conjugate(J, t.to_idem(t.delta(t.x)), Jinv), "twisted coproduct of x leaves A (x) A"
     )
-    d1_f = [
-        onto_frame(
+    chains = [
+        [onto_frame(
             conjugate(J, apply_on_factor(lift(s * m), t.delta_idem_basis, 1, 2), Jinv),
             f"twisted coproduct of 1_{s} leaves A (x) A",
-        )
+        )]
         for s in range(n)
     ]
-    dx_pows_f = [t.A_bold.unit_tensor(2), dx_f]
 
     def coproduct_f(idx: int) -> Tensor:
-        s, b = divmod(idx, m)
-        while len(dx_pows_f) <= b:
-            dx_pows_f.append(dx_pows_f[-1] * dx_f)
-        return d1_f[s] * dx_pows_f[b]
+        chain, b = chains[idx // m], idx % m
+        while len(chain) <= b:
+            chain.append(chain[-1] * dx_f)
+        return chain[b]
 
     # distinguished elements; beta is normalized to 1 and alpha becomes the
     # computed product alpha_J beta_J, whatever grouplike it turns out to be
@@ -499,7 +499,7 @@ def build_quasi_hopf(
 
     frame = Coordinates(
         descriptor=t.A_bold,
-        coproduct=cache(coproduct_f),
+        coproduct=coproduct_f,
         counit=cache(counit_f),
         antipode=cache(antipode_f),
         associator=phi,

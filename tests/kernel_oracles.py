@@ -1,28 +1,39 @@
 """The Tensor-sum antipode check, the dict-lookup cocycle check, the dense
 matrix product, the five-factor coboundary associator, the slot map that
-multiplies by every image coefficient and the aggregation that maps every
-slot by arithmetic, kept as differential oracles.
+multiplies by every image coefficient, the aggregation that maps every
+slot by arithmetic, the frame coproduct table through powers of Delta(x),
+the Tensor-sum distinguished elements and the root scatter that reduces
+every shifted exponent, kept as differential oracles.
 
 ``qhopf.axioms.check_antipode`` accumulates its sums into coefficient dicts,
 ``qhopf.cocycle.check_cocycle`` reads a flat value table,
 ``qhopf.linalg.mat_mul`` visits only nonzero entries,
 ``qhopf.twist.coboundary_associator`` takes its product key by key over flat
 tables indexed by idempotent position, ``qhopf.algebra.apply_on_factor``
-skips image coefficients equal to 1 and ``qhopf.twist.aggregate_to_bold``
-maps slots through a cached table and compares equal roots by identity first.
-Before that they summed whole Tensors term by term, looked every value up
-through ``ThreeCochain.__call__``, ran the full triple loop, multiplied five
-materialised tensors, multiplied by every image coefficient and computed
-each aggregated slot with a generator expression.  Those versions live on
-here unchanged, and the tests require equal results and equal witnesses.
+skips image coefficients equal to 1, ``qhopf.twist.aggregate_to_bold``
+maps slots through a cached table and compares equal roots by identity first,
+the frame coproduct of ``qhopf.twist.build_quasi_hopf`` takes
+Delta(1_s x^b) = Delta(1_s x^(b-1)) Delta(x), one product per entry,
+``qhopf.twist.antipode_elements`` sums into one coefficient dict, and
+``qhopf.cyclotomic._root_times`` reads rows tabled per shift and builds its
+result with one comprehension.  Before that they summed whole Tensors term by
+term, looked every value up through ``ThreeCochain.__call__``, ran the full
+triple loop, multiplied five materialised tensors, multiplied by every image
+coefficient, computed each aggregated slot with a generator expression,
+filtered each power Delta(x)^b through the diagonal Delta(1_s), added one
+scaled Tensor per term of the twist and reduced (e + k) mod m per term.
+Those versions live on here unchanged, and the tests require equal results
+and equal witnesses.
 """
 
 import random
+from fractions import Fraction
+from math import lcm
 
-from qhopf.algebra import Tensor, invert
+from qhopf.algebra import Tensor, conjugate, invert
 from qhopf.axioms import _witness
-from qhopf.cyclotomic import zero
-from qhopf.twist import ConstructionError
+from qhopf.cyclotomic import Cyclotomic, _numerators, _reduction_rows, euler_phi, one, zero
+from qhopf.twist import ConstructionError, aggregate_to_bold
 
 
 def check_antipode(S, pair_sample=25, seed=0):
@@ -182,3 +193,69 @@ def aggregate_to_bold(taft, u):
                 witness=bold_key,
             )
     return Tensor(taft.A_bold, u.rank, chosen)
+
+
+def frame_coproduct(taft, J):
+    """The frame coproduct table of ``build_quasi_hopf`` as a list indexed by
+    s m + b: every power Delta(x)^b formed first, each then filtered through
+    the diagonal Delta(1_s)."""
+    t, n, m = taft, taft.n, taft.m
+    Jinv = invert(J)
+    dx = aggregate_to_bold(t, conjugate(J, t.to_idem(t.delta(t.x)), Jinv))
+    d1 = []
+    for s in range(n):
+        lift = Tensor(t.H_idem, 1, {((s + n * i) * m,): one() for i in range(n)})
+        image = apply_on_factor(lift, t.delta_idem_basis, 1, 2)
+        d1.append(aggregate_to_bold(t, conjugate(J, image, Jinv)))
+    powers = [t.A_bold.unit_tensor(2), dx]
+    while len(powers) < m:
+        powers.append(powers[-1] * dx)
+    return [d1[s] * powers[b] for s in range(n) for b in range(m)]
+
+
+def antipode_elements(taft, J):
+    Jinv = invert(J)
+    alpha = Tensor(taft.H_idem, 1, {})
+    beta = Tensor(taft.H_idem, 1, {})
+    for (kf, kg), c in Jinv.terms.items():
+        alpha = alpha + (taft.antipode_idem_basis(kf) * taft.H_idem.basis_tensor((kg,))).scale(c)
+    for (kf, kg), c in J.terms.items():
+        beta = beta + (taft.H_idem.basis_tensor((kf,)) * taft.antipode_idem_basis(kg)).scale(c)
+    return alpha, beta
+
+
+def over(m, nums, den):
+    clean = {}
+    if den == 1:
+        for e in range(euler_phi(m)):
+            v = nums[e]
+            if v:
+                clean[e] = v
+    else:
+        for e in range(euler_phi(m)):
+            v = nums[e]
+            if v:
+                q, r = divmod(v, den)
+                clean[e] = Fraction(v, den) if r else q
+    self = object.__new__(Cyclotomic)
+    self.conductor = m
+    self._c = clean
+    self._k = None
+    return self
+
+
+def root_times(m1, k, x):
+    m = x.conductor
+    if m % m1:
+        m = lcm(m1, m)
+        x = x.embed(m)
+    if not k:
+        return x
+    k *= m // m1
+    rows = _reduction_rows(m)
+    den, nums = _numerators(x._c)
+    out = [0] * euler_phi(m)
+    for e, v in nums.items():
+        for e2, c2 in rows[(e + k) % m].items():
+            out[e2] += v * c2
+    return over(m, out, den)

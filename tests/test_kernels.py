@@ -4,11 +4,16 @@
 ``apply_on_factor`` on random tensors, ``coboundary_associator`` on every
 structure at n = 2..5, at n = 6, e = 1, and on defective twists, and
 ``aggregate_to_bold`` on those associators, on the ambient powers of the
-twisted coproduct of x at n <= 3 and on elements that leave A.  Results and
-witnesses must be equal, and so must every product entry with its conductor
-and its rendering, and every tensor term with its key order."""
+twisted coproduct of x at n <= 3 and on elements that leave A, the frame
+coproduct table of ``build_quasi_hopf`` and ``antipode_elements`` on every
+structure at n = 2..5 and at n = 6, e = 1, and the root scatter of
+``cyclotomic._root_times`` on random elements.  Results and witnesses must be
+equal, and so must every product entry with its conductor and its rendering,
+and every tensor term with its key order."""
 
 import random
+import sys
+from fractions import Fraction
 from dataclasses import replace
 from functools import lru_cache
 
@@ -16,15 +21,30 @@ import pytest
 
 import kernel_oracles as oracle
 from qhopf.algebra import SingularElementError, Tensor, apply_on_factor, conjugate, invert
-from qhopf.axioms import check_antipode
+from qhopf.axioms import check_antipode, check_counit, check_quasi_coassoc
 from qhopf.checks import BuildContext, _chk_associator_identity
 from qhopf.cli import coprime_exponents
 from qhopf.cocycle import ThreeCochain, check_cocycle, cyclic_cochain, random_coboundary
-from qhopf.corruptions import corrupted_alpha
-from qhopf.cyclotomic import Cyclotomic, one as cy_one, root_of_unity, zero
+from qhopf.corruptions import corrupted_alpha, corrupted_coproduct
+from qhopf.cyclotomic import (
+    Cyclotomic,
+    _over,
+    _root_times,
+    euler_phi,
+    one as cy_one,
+    root_of_unity,
+    zero,
+)
 from qhopf.linalg import mat_mul
 from qhopf.taft import TaftAlgebra
-from qhopf.twist import ConstructionError, aggregate_to_bold, build_twist, coboundary_associator
+from qhopf.twist import (
+    ConstructionError,
+    aggregate_to_bold,
+    antipode_elements,
+    build_quasi_hopf,
+    build_twist,
+    coboundary_associator,
+)
 
 STRUCTURES = [(n, e) for n in (2, 3, 4) for e in coprime_exponents(n)]
 
@@ -329,3 +349,113 @@ def test_aggregation_refuses_like_the_slot_arithmetic(n):
         f"of {per_class} representatives"
     )
     assert witness == bold_key
+
+
+@pytest.mark.parametrize("n,e", ASSOCIATOR_STRUCTURES)
+def test_frame_coproduct_matches_the_filtered_powers(n, e):
+    t = TaftAlgebra(n, e)
+    J = build_twist(t)
+    S = build_quasi_hopf(n, e, taft=t, twist=J)
+    want = oracle.frame_coproduct(t, J)
+    assert len(want) == S.dim
+    for idx, entry in enumerate(want):
+        got = S.frame.coproduct(idx)
+        assert got.algebra is entry.algebra
+        _same_terms(got, entry)
+
+
+@pytest.mark.parametrize("n,e", ASSOCIATOR_STRUCTURES)
+def test_antipode_elements_match_the_tensor_sums(n, e):
+    t = TaftAlgebra(n, e)
+    J = build_twist(t)
+    for got, want in zip(antipode_elements(t, J), oracle.antipode_elements(t, J)):
+        assert got.algebra is want.algebra
+        _same_terms(got, want)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_frame_coproduct_does_not_depend_on_request_order(n, monkeypatch):
+    in_order = build_quasi_hopf(n)
+    want = [in_order.frame.coproduct(idx) for idx in range(in_order.dim)]
+    m = in_order.taft.m
+    top = (n - 1) * m + m - 1  # 1_(n-1) x^(m-1), asked for before anything else
+    fresh = build_quasi_hopf(n)
+    products = []
+    mul = Tensor.__mul__
+
+    def counted(u, v):
+        products.append(v)
+        return mul(u, v)
+
+    monkeypatch.setattr(Tensor, "__mul__", counted)
+    limit = sys.getrecursionlimit()
+    # the chain is grown in a loop; at n = 6 its 35 steps would not fit as nested calls
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        first = fresh.frame.coproduct(top)
+    finally:
+        sys.setrecursionlimit(limit)
+        monkeypatch.undo()
+    # only the chain of 1_(n-1) is built, one product per step above Delta(1_(n-1))
+    assert len(products) == m - 1
+    table = [fresh.frame.coproduct(idx) for idx in range(fresh.dim)]
+    assert table[top] is first
+    for got, entry in zip(table, want):
+        _same_terms(got, entry)
+    bad = corrupted_coproduct(build_quasi_hopf(n))
+    bad.frame.coproduct(top)
+    assert check_counit(bad) == "counit law at 1_0 x: first difference at (1_0 x): 0 vs 1"
+    assert check_quasi_coassoc(bad) == (
+        f"u=1_0 x: first difference at (1_0 # 1_1 # 1_{n - 1} x): 0 vs 1"
+    )
+
+
+def _same_scalar(got, want):
+    """Equal conductor, tag and stored coefficients, with their types, in order."""
+    assert got.conductor == want.conductor and got._k == want._k
+    assert list(got._c.items()) == list(want._c.items())
+    assert [type(v) for v in got._c.values()] == [type(v) for v in want._c.values()]
+
+
+def _random_coefficients(rng, size):
+    values = (
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+    )
+    return {e: rng.choice(values)() for e in rng.sample(range(size), rng.randint(0, size))}
+
+
+def test_root_scatter_matches_the_row_loops():
+    rng = random.Random("root scatter")
+    conductors = [1, 2, 3, 4, 5, 6, 9, 12, 18, 25, 36]
+    for _ in range(600):
+        m1, mx = rng.choice(conductors), rng.choice(conductors)
+        k = 0 if rng.random() < 0.15 else rng.randrange(m1)
+        if rng.random() < 0.2:
+            x = root_of_unity(mx, rng.randrange(mx))
+        else:
+            x = Cyclotomic(mx, _random_coefficients(rng, euler_phi(mx)))
+        want = oracle.root_times(m1, k, x)
+        _same_scalar(_root_times(m1, k, x), want)
+        if x._k is None:
+            root = root_of_unity(m1, k)
+            _same_scalar(root * x, want)
+            _same_scalar(x * root, want)
+
+
+def test_over_matches_the_division_loop():
+    rng = random.Random("over")
+    for _ in range(300):
+        m = rng.choice([1, 3, 4, 9, 12, 36])
+        phi = euler_phi(m)
+        nums = [rng.choice([0, rng.randint(-50, 50)]) for _ in range(rng.choice([phi, 2 * phi - 1]))]
+        den = rng.choice([1, 1, 2, 3, 6, 12])
+        _same_scalar(_over(m, list(nums), den), oracle.over(m, list(nums), den))
