@@ -13,8 +13,8 @@ and every tensor term with its key order."""
 
 import random
 import sys
-from fractions import Fraction
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
