@@ -16,14 +16,25 @@ so a value != 1 certifies a nontrivial cohomology class without searching the
 ``check_cocycle`` returns ``None`` when the cochain is a normalized cocycle and
 otherwise the witness string of its first failure: normalization first, then
 the quadruples in lexicographic order.
+
+Cochain values are roots of unity in every structure this package builds.
+When every value is an unsigned root-table entry (``root_exponents``),
+``check_cocycle`` and ``random_coboundary`` run on exponents over one root
+zeta_m, m the lcm of the conductors: products become sums mod m and
+normalization a zero exponent.  Any other cochain takes the scalar route.  A
+failure witness is always rendered from the scalar products, and each route
+returns the same verdicts, witnesses and values as the other.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
+from math import lcm
 
-from .cyclotomic import Cyclotomic, one as cy_one, root_of_unity
+from .cyclotomic import Cyclotomic, one as cy_one, root_exponents, root_of_unity
 
 __all__ = [
     "ThreeCochain",
@@ -92,46 +103,55 @@ def cochain_from_bold_tensor(n: int, m: int, tensor) -> ThreeCochain:
     return ThreeCochain(n, values)
 
 
+@cache
+def _positions(n: int) -> tuple[list[int], ...]:
+    """Over the n^4 quadruples (i, j, k, l) in lexicographic order, the flat
+    positions i n^2 + j n + k of the five cochain values in the cocycle
+    condition, one list each: c(j,k,l), c(i,j+k,l), c(i,j,k) on the left,
+    c(i+j,k,l), c(i,j,k+l) on the right."""
+    nn = n * n
+    quads = list(product(range(n), repeat=4))
+    return (
+        [j * nn + k * n + l for i, j, k, l in quads],
+        [i * nn + (j + k) % n * n + l for i, j, k, l in quads],
+        [i * nn + j * n + k for i, j, k, l in quads],
+        [(i + j) % n * nn + k * n + l for i, j, k, l in quads],
+        [i * nn + j * n + (k + l) % n for i, j, k, l in quads],
+    )
+
+
 def check_cocycle(c: ThreeCochain) -> str | None:
     """Exhaustive cocycle condition over n^4 quadruples, plus normalization.
 
     The n^3 values are read once into a flat table indexed by
-    i n^2 + j n + k, and the sums mod n come from a precomputed table.
+    i n^2 + j n + k, and each quadruple reads its five values at positions
+    tabled once per n.  A table of unsigned root-table entries is compared
+    on exponents mod the lcm m of its conductors; any other table on scalar
+    products.  A failure's witness renders the scalar products either way.
     """
     n = c.n
     nn = n * n
     values = c.values
     table = [values[(i, j, k)] for i in range(n) for j in range(n) for k in range(n)]
+    m = lcm(*{v.conductor for v in table})
+    exps = root_exponents(table, m)
+    unit = [v.is_one() for v in table] if exps is None else [not e for e in exps]
     for i in range(n):
         for j in range(n):
-            if not (
-                table[i * n + j].is_one()
-                and table[i * nn + j].is_one()
-                and table[i * nn + j * n].is_one()
-            ):
+            if not (unit[i * n + j] and unit[i * nn + j] and unit[i * nn + j * n]):
                 return f"normalization broken near ({i},{j})"
-    plus = [[(a + b) % n for b in range(n)] for a in range(n)]
-    for i in range(n):
-        c_i = table[i * nn : (i + 1) * nn]  # c(i, j, k) at j n + k
-        for j in range(n):
-            c_j = table[j * nn : (j + 1) * nn]
-            c_ij = table[plus[i][j] * nn : (plus[i][j] + 1) * nn]
-            c_i_j = c_i[j * n : (j + 1) * n]
-            for k in range(n):
-                first = c_j[k * n : (k + 1) * n]  # c(j, k, l)
-                jk = plus[j][k] * n
-                second = c_i[jk : jk + n]  # c(i, j+k, l)
-                third = c_i_j[k]  # c(i, j, k)
-                fourth = c_ij[k * n : (k + 1) * n]  # c(i+j, k, l)
-                kl = plus[k]  # c(i, j, k+l) is c_i_j[kl[l]]
-                for l in range(n):
-                    lhs = first[l] * second[l] * third
-                    rhs = fourth[l] * c_i_j[kl[l]]
-                    if lhs != rhs:
-                        return (
-                            f"cocycle condition fails at ({i},{j},{k},{l}): "
-                            f"{lhs.render()} vs {rhs.render()}"
-                        )
+    for ijkl, a, b, t, d, e in zip(product(range(n), repeat=4), *_positions(n)):
+        if exps is None:
+            holds = table[a] * table[b] * table[t] == table[d] * table[e]
+        else:
+            holds = not (exps[a] + exps[b] + exps[t] - exps[d] - exps[e]) % m
+        if not holds:
+            lhs = table[a] * table[b] * table[t]
+            rhs = table[d] * table[e]
+            return (
+                f"cocycle condition fails at ({','.join(map(str, ijkl))}): "
+                f"{lhs.render()} vs {rhs.render()}"
+            )
     return None
 
 
@@ -159,7 +179,9 @@ def random_coboundary(n: int, seed: int, root: Cyclotomic | None = None) -> Thre
 
         db(i,j,k) = b(j,k) b(i+j,k)^(-1) b(i,j+k) b(i,j)^(-1).
 
-    Always a normalized 3-cocycle of trivial class.
+    Always a normalized 3-cocycle of trivial class.  When the powers of
+    ``root`` are unsigned root-table entries, each value is the entry at the
+    sum of the four exponents.
     """
     m = n * n
     if root is None:
@@ -168,22 +190,21 @@ def random_coboundary(n: int, seed: int, root: Cyclotomic | None = None) -> Thre
     for _ in range(m - 1):
         pows.append(pows[-1] * root)
     rng = random.Random(f"coboundary:{n}:{seed}")
-    b = {}
-    for i in range(n):
-        for j in range(n):
-            b[(i, j)] = pows[rng.randrange(m)] if i and j else cy_one()
-
-    def binv(i, j):
-        return b[(i % n, j % n)].inverse()
-
+    # b(i, j) at i n + j
+    b = [pows[rng.randrange(m)] if i and j else cy_one() for i in range(n) for j in range(n)]
+    top = lcm(*{v.conductor for v in b})
+    exps = root_exponents(b, top)
     values = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                values[(i, j, k)] = (
-                    b[(j % n, k % n)]
-                    * binv(i + j, k)
-                    * b[(i % n, (j + k) % n)]
-                    * binv(i, j)
-                )
+                pos = (j * n + k, (i + j) % n * n + k, i * n + (j + k) % n, i * n + j)
+                f1, f2, f3, f4 = (b[p] for p in pos)
+                if exps is None:
+                    values[(i, j, k)] = f1 * f2.inverse() * f3 * f4.inverse()
+                    continue
+                # the entry the scalar product returns, of the lcm of the factors' conductors
+                e1, e2, e3, e4 = (exps[p] for p in pos)
+                c = lcm(f1.conductor, f2.conductor, f3.conductor, f4.conductor)
+                values[(i, j, k)] = root_of_unity(c, (e1 - e2 + e3 - e4) % top // (top // c))
     return ThreeCochain(n, values)

@@ -5,20 +5,26 @@ m-th cyclotomic polynomial, with exact rational coefficients.  The stored
 form is canonical, so equality is literal coefficient equality: there is no
 floating point and no tolerance anywhere in this module.
 
-The m canonical powers zeta_m^k are kept once per conductor in a table whose
-entries carry their exponent k.  ``root_of_unity`` and ``one`` return these
-entries, and products, equality, inverses and powers of two entries are
-exponent arithmetic that returns another entry; the product of entries of
-conductors m1 and m2 is an entry of conductor lcm(m1, m2).  Every other
-element takes the power-basis path, which stays the reference: an entry and an
-untagged element with the same coefficients are equal.
+Every root of unity of Q(zeta_m) is kept once per conductor in a table whose
+entries carry a tag: an exponent k and a sign, for +zeta_m^k or -zeta_m^k.
+For even m the sign is always +, since -zeta^k is the entry zeta^(k + m/2);
+for odd m the entries -zeta^k form a second table.  ``root_of_unity`` and
+``one`` return entries, and negation, scaling by +-1, products, equality,
+inverses, powers, residues and orders of entries are exponent and sign
+arithmetic that returns another entry; the product of entries of conductors
+m1 and m2 is an entry of conductor lcm(m1, m2).  Every other element takes
+the power-basis path, which stays the reference: an entry and an untagged
+element with the same coefficients are equal.
 
-Products take one of four routes.  Two entries add exponents.  An entry
-zeta^k times an untagged element maps each term z^e to the canonical form of
-z^(e + k).  An int or a Fraction scales the coefficients.  Two untagged
-elements are written as integer numerators over a common denominator each,
-convolved, reduced modulo Phi_m once per product and divided by the product
-of the denominators once per coefficient.
+Products take one of four routes.  Two entries add exponents and multiply
+signs.  An entry +-zeta^k times an untagged element maps each term z^e to
++- the canonical form of z^(e + k).  An int or a Fraction scales the
+coefficients.  Two untagged elements are written as integer numerators over
+a common denominator each, convolved, reduced modulo Phi_m once per product
+and divided by the product of the denominators once per coefficient.
+Kernels over whole tables of unsigned entries skip the products altogether:
+``root_exponents`` reads such a table as exponents over one root zeta_m,
+which they add mod m before looking up the entry.
 
 Mixed conductors are handled by embedding into the field of conductor
 lcm(m1, m2) before operating.  Division multiplies by the inverse: a rational
@@ -41,6 +47,7 @@ __all__ = [
     "euler_phi",
     "one",
     "rational",
+    "root_exponents",
     "root_of_unity",
     "zero",
 ]
@@ -190,27 +197,44 @@ def _over(m: int, nums: list, den: int) -> "Cyclotomic":
 
 
 @lru_cache(maxsize=None)
-def _shift_rows(m: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _shift_rows(m: int, k: int, neg: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each e < phi(m), the reduction row of z^(e + k) as (exponent,
-    coefficient) pairs: where zeta_m^k sends the power-basis term z^e."""
+    coefficient) pairs, negated when ``neg``: where +-zeta_m^k sends the
+    power-basis term z^e."""
     rows = _reduction_rows(m)
-    return tuple(tuple(rows[(e + k) % m].items()) for e in range(euler_phi(m)))
+    sign = -1 if neg else 1
+    return tuple(
+        tuple((e2, sign * c2) for e2, c2 in rows[(e + k) % m].items())
+        for e in range(euler_phi(m))
+    )
 
 
-def _root_times(m1: int, k: int, x: "Cyclotomic") -> "Cyclotomic":
-    """zeta_m1^k times the untagged element x, in the conductor lcm(m1, m(x)).
+def _root_times(m1: int, k: int, x: "Cyclotomic", neg: bool = False) -> "Cyclotomic":
+    """zeta_m1^k, or -zeta_m1^k when ``neg``, times the untagged element x,
+    in the conductor lcm(m1, m(x)).
 
-    Each term z^e of x (lifted to that conductor) goes to the reduction row
-    of z^(e + k), with k rescaled to the common conductor; the rows are
-    tabled once per shift (``_shift_rows``).
+    Each term z^e of x (lifted to that conductor) goes to +- the reduction
+    row of z^(e + k), with k rescaled to the common conductor; there an even
+    conductor takes the sign as the shift by half of it.  The rows are tabled
+    once per shift and sign (``_shift_rows``).
     """
     m = x.conductor
     if m % m1:
         m = lcm(m1, m)
         x = x.embed(m)
-    if not k:
-        return x
-    rows = _shift_rows(m, k * (m // m1) % m)
+    if not neg:
+        if not k:
+            return x
+        k = k * (m // m1) % m
+    else:
+        k *= m // m1
+        if not m % 2:
+            k += m // 2
+            neg = False
+        k %= m
+        if not k and not neg:
+            return x
+    rows = _shift_rows(m, k, neg)
     den, nums = _numerators(x._c)
     out = [0] * euler_phi(m)
     for e, v in nums.items():
@@ -294,10 +318,12 @@ class Cyclotomic:
     Coefficients are exact rationals kept sparsely on the power basis; the
     dense vector of length phi(m) is available through :attr:`coeffs`.
     Instances are immutable and safe to share.  ``_k`` is the exponent k of
-    the root-table entry zeta_m^k, and None on every other element.
+    the root-table entry +-zeta_m^k, and None on every other element;
+    ``_neg`` is the sign of an entry, True for -zeta_m^k, and is set and read
+    on entries only.
     """
 
-    __slots__ = ("conductor", "_c", "_k")
+    __slots__ = ("conductor", "_c", "_k", "_neg")
 
     def __init__(self, conductor: int, coeffs: dict):
         phi = euler_phi(conductor)
@@ -360,7 +386,7 @@ class Cyclotomic:
 
     def is_one(self) -> bool:
         if self._k is not None:
-            return self._k == 0
+            return self._k == 0 and not self._neg
         return self._c == {0: 1}
 
     def __bool__(self) -> bool:
@@ -376,7 +402,8 @@ class Cyclotomic:
         """
         step = len(powers) // self.conductor
         if self._k is not None:
-            return powers[self._k * step]
+            w = powers[self._k * step]
+            return p - w if self._neg else w
         acc = 0
         for e, v in self._c.items():
             if v.__class__ is Fraction:
@@ -430,6 +457,8 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._k is not None:
+            return _entry(self.conductor, self._k, not self._neg)
         return Cyclotomic(self.conductor, {e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
@@ -450,11 +479,13 @@ class Cyclotomic:
     def __mul__(self, other):
         """Product, by one of four routes.
 
-        Two root-table entries multiply by adding exponents.  An entry
-        zeta^k times an untagged element sends each term z^e to the
-        canonical form of z^(e + k).  An int or a Fraction scales each
-        coefficient.  Two untagged elements convolve their integer
-        numerators (``_convolve``).  Mixed conductors meet in their lcm.
+        Two root-table entries multiply by adding exponents and multiplying
+        signs, and return the entry of the result.  An entry +-zeta^k times
+        an untagged element sends each term z^e to +- the canonical form of
+        z^(e + k) (``_root_times``).  An int or a Fraction scales each
+        coefficient; an entry scaled by 1 or -1 stays an entry.  Two untagged
+        elements convolve their integer numerators (``_convolve``).  Mixed
+        conductors meet in their lcm.
         """
         cls = other.__class__
         if cls is Cyclotomic:
@@ -463,19 +494,22 @@ class Cyclotomic:
                 m1 = self.conductor
                 if k2 is not None:
                     m2 = other.conductor
+                    neg = self._neg is not other._neg
                     if m1 == m2:
-                        return _roots(m1)[(k1 + k2) % m1]
+                        return (_neg_roots if neg else _roots)(m1)[(k1 + k2) % m1]
                     m = lcm(m1, m2)
-                    return _roots(m)[(k1 * (m // m1) + k2 * (m // m2)) % m]
-                return _root_times(m1, k1, other)
+                    return _entry(m, k1 * (m // m1) + k2 * (m // m2), neg)
+                return _root_times(m1, k1, other, self._neg)
             if k2 is not None:
-                return _root_times(other.conductor, k2, self)
+                return _root_times(other.conductor, k2, self, other._neg)
             if other.conductor == self.conductor:
                 return _convolve(self, other)
             return _convolve(*self._pair(other))
         if cls is int or cls is Fraction:
             if not other:
                 return Cyclotomic._make(self.conductor, {})
+            if self._k is not None and (other == 1 or other == -1):
+                return self if other == 1 else -self
             return Cyclotomic._make(
                 self.conductor, {e: v * other for e, v in self._c.items()}
             )
@@ -486,7 +520,8 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse.
 
-        A root-table entry inverts by negating its exponent.  A multiple
+        A root-table entry inverts by negating its exponent and keeping its
+        sign.  A multiple
         c * zeta_m^k of a root of unity, found in the root table, inverts to
         (1/c) * zeta_m^(-k).  Any other nonzero element inverts by the
         fraction-free extended Euclidean algorithm against Phi_m on its
@@ -494,7 +529,7 @@ class Cyclotomic:
         """
         m = self.conductor
         if self._k is not None:
-            return _roots(m)[-self._k % m]
+            return _entry(m, -self._k, self._neg)
         if not self._c:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if len(self._c) == 1:
@@ -524,7 +559,7 @@ class Cyclotomic:
 
     def __pow__(self, k: int) -> "Cyclotomic":
         if self._k is not None:
-            return _roots(self.conductor)[self._k * k % self.conductor]
+            return _entry(self.conductor, self._k * k, self._neg and k & 1)
         if k < 0:
             return self.inverse() ** (-k)
         result = Cyclotomic(self.conductor, {0: 1})
@@ -542,11 +577,12 @@ class Cyclotomic:
         if other.__class__ is Cyclotomic:
             k1, k2 = self._k, other._k
             if k1 is not None and k2 is not None and self.conductor == other.conductor:
-                return k1 == k2
+                # one tag per value: signed entries exist for odd m only
+                return k1 == k2 and self._neg is other._neg
             # the unit embeds as {0: 1} into every conductor
-            if k1 == 0 and k2 is None:
+            if k2 is None and k1 == 0 and not self._neg:
                 return other._c == {0: 1}
-            if k2 == 0 and k1 is None:
+            if k1 is None and k2 == 0 and not other._neg:
                 return self._c == {0: 1}
         a, b = self._pair(other)
         if a is None:
@@ -562,7 +598,9 @@ class Cyclotomic:
         search stops there.
         """
         if self._k is not None:
-            return self.conductor // gcd(self.conductor, self._k)
+            order = self.conductor // gcd(self.conductor, self._k)
+            # -zeta^k exists as an entry for odd m only, where order is odd
+            return 2 * order if self._neg else order
         if not self._c:
             raise ZeroDivisionError("zero has no multiplicative order")
         bound = lcm(2, self.conductor)
@@ -622,18 +660,70 @@ def rational(v, conductor: int = 1) -> Cyclotomic:
 @lru_cache(maxsize=None)
 def _roots(m: int) -> tuple[Cyclotomic, ...]:
     """The root table: zeta_m^k in canonical form for 0 <= k < m, each
-    tagged with its exponent k."""
+    tagged with its exponent k and the sign +."""
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
     table = []
     for k in range(m):
         root = Cyclotomic.from_terms(m, {k: 1})
         root._k = k
+        root._neg = False
         table.append(root)
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _neg_roots(m: int) -> tuple[Cyclotomic, ...]:
+    """-zeta_m^k for 0 <= k < m.  For even m these are the entries
+    zeta_m^(k + m/2) of the root table; for odd m, entries of their own with
+    the negated coefficients, tagged with the exponent k and the sign -."""
+    roots = _roots(m)
+    if not m % 2:
+        return roots[m // 2 :] + roots[: m // 2]
+    table = []
+    for k, root in enumerate(roots):
+        neg = Cyclotomic._make(m, {e: -v for e, v in root._c.items()})
+        neg._k = k
+        neg._neg = True
+        table.append(neg)
+    return tuple(table)
+
+
+def _entry(m: int, k: int, neg) -> Cyclotomic:
+    """The table entry -zeta_m^k when ``neg``, zeta_m^k otherwise."""
+    return (_neg_roots if neg else _roots)(m)[k % m]
 
 
 def root_of_unity(m: int, e: int = 1) -> Cyclotomic:
     """zeta_m^e in canonical form, the root-table entry of exponent e mod m;
     its order is m / gcd(m, e mod m)."""
     return _roots(m)[e % m]
+
+
+def root_exponents(values, m: int) -> list | None:
+    """A table of scalars read as exponents over zeta_m: when every value
+    that is not None is an unsigned root-table entry zeta_c^k with c dividing
+    m, the list of exponents k m / c, None left in place.  None when some
+    value is anything else: a signed entry, an untagged element, or a
+    conductor that does not divide m.
+
+    The product of such values is zeta_m raised to the sum of their
+    exponents, and two products are equal exactly when their sums agree
+    mod m.
+    """
+    out = []
+    append = out.append
+    for v in values:
+        if v is None:
+            append(None)
+            continue
+        k = v._k
+        if k is None or v._neg:
+            return None
+        c = v.conductor
+        if c != m:
+            if m % c:
+                return None
+            k *= m // c
+        append(k)
+    return out

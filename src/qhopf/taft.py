@@ -58,6 +58,7 @@ class TaftAlgebra:
         self._sx_pows = [self.H.unit_tensor(1)]
         self._antipode_memo: dict[int, Tensor] = {}
         self._antipode_idem_memo: dict[int, Tensor] = {}
+        self._sx_idem_pows: dict[int, Tensor] = {}
 
     # -- scalars ------------------------------------------------------------
 
@@ -322,15 +323,18 @@ class TaftAlgebra:
         """Antipode on the idempotent basis, S(1_z x^j) = S(x^j) S(1_z).
 
         S(1_z) = 1_(-z) is the transport of S(g^t) = g^(-t); S(x^j) is
-        evaluated through monomial coordinates.  Tests compare both against
-        the monomial route.
+        evaluated through monomial coordinates, once per degree j.  Tests
+        compare both against the monomial route.
         """
         hit = self._antipode_idem_memo.get(idx)
         if hit is None:
             z, j = divmod(idx, self.m)
             hit = self.H_idem.basis_tensor((((-z) % self.m) * self.m,), cy_one(self.m))
             if j:
-                hit = self.to_idem(self.antipode_basis(j)) * hit
+                sxj = self._sx_idem_pows.get(j)
+                if sxj is None:
+                    sxj = self._sx_idem_pows[j] = self.to_idem(self.antipode_basis(j))
+                hit = sxj * hit
             self._antipode_idem_memo[idx] = hit
         return hit
 

@@ -39,7 +39,7 @@ from functools import cache
 from typing import Callable
 
 from .algebra import AlgebraDescriptor, Tensor, _tensor, apply_on_factor, conjugate, invert
-from .cyclotomic import Cyclotomic, one as cy_one
+from .cyclotomic import Cyclotomic, one as cy_one, root_exponents, root_of_unity
 from .taft import TaftAlgebra
 
 __all__ = [
@@ -184,6 +184,11 @@ def coboundary_associator(taft: TaftAlgebra, J: Tensor | None = None) -> Tensor:
     coproduct factors spread from J and J^(-1) through the images Delta(1_v),
     each read once.  A key missing from any factor is a zero coefficient and
     is left out; the keys come z over the unit, then (w, y) in J's order.
+
+    When every factor is an unsigned root-table entry over zeta_m and J's
+    are of conductor m itself, the lists hold exponents instead
+    (``root_exponents``) and each coefficient is the entry of conductor m at
+    the sum of the four, the entry the scalar product returns.
     """
     if J is None:
         J = build_twist(taft)
@@ -195,7 +200,13 @@ def coboundary_associator(taft: TaftAlgebra, J: Tensor | None = None) -> Tensor:
     inv = [None] * (m * m)
     for (a, b), c in Jinv.terms.items():
         inv[a // m * m + b // m] = c
-    row = [(w, y, w // m, w // m * m + y // m, cj) for (w, y), cj in J.terms.items()]
+    cjs = list(J.terms.values())
+    exps = [root_exponents(f, m) for f in (cjs, f2, f4, inv)]
+    exponents = None not in exps and all(c.conductor == m for c in cjs)
+    if exponents:
+        cjs, f2, f4, inv = exps
+        roots = [root_of_unity(m, k) for k in range(m)]
+    row = [(w, y, w // m, w // m * m + y // m, cj) for (w, y), cj in zip(J.terms, cjs)]
     acc = {}
     for z in taft.H_idem.unit:
         pz = z // m
@@ -205,7 +216,7 @@ def coboundary_associator(taft: TaftAlgebra, J: Tensor | None = None) -> Tensor:
             c4 = f4[base + p]
             ci = inv[ibase + pw]
             if c2 is not None and c4 is not None and ci is not None:
-                acc[(z, w, y)] = cj * c2 * c4 * ci
+                acc[(z, w, y)] = roots[(cj + c2 + c4 + ci) % m] if exponents else cj * c2 * c4 * ci
     return _tensor(taft.H_idem, 3, acc, True)
 
 

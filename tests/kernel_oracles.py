@@ -1,12 +1,17 @@
-"""The Tensor-sum antipode check, the dict-lookup cocycle check, the dense
-matrix product, the five-factor coboundary associator, the slot map that
+"""The Tensor-sum antipode check, the quasi-coassociativity check that
+multiplies by the associator on the Hopf algebra, the dict-lookup cocycle
+check, the coboundary of a random 2-cochain on scalars, the dense matrix
+product, the five-factor coboundary associator, the slot map that
 multiplies by every image coefficient, the aggregation that maps every
 slot by arithmetic, the frame coproduct table through powers of Delta(x),
 the Tensor-sum distinguished elements and the root scatter that reduces
 every shifted exponent, kept as differential oracles.
 
 ``qhopf.axioms.check_antipode`` accumulates its sums into coefficient dicts,
-``qhopf.cocycle.check_cocycle`` reads a flat value table,
+``qhopf.axioms.check_quasi_coassoc`` leaves the right side alone under the
+unit associator of H, ``qhopf.cocycle.check_cocycle`` reads a flat value
+table and adds exponents where its values are roots,
+``qhopf.cocycle.random_coboundary`` adds exponents,
 ``qhopf.linalg.mat_mul`` visits only nonzero entries,
 ``qhopf.twist.coboundary_associator`` takes its product key by key over flat
 tables indexed by idempotent position, ``qhopf.algebra.apply_on_factor``
@@ -17,7 +22,9 @@ Delta(1_s x^b) = Delta(1_s x^(b-1)) Delta(x), one product per entry,
 ``qhopf.twist.antipode_elements`` sums into one coefficient dict, and
 ``qhopf.cyclotomic._root_times`` reads rows tabled per shift and builds its
 result with one comprehension.  Before that they summed whole Tensors term by
-term, looked every value up through ``ThreeCochain.__call__``, ran the full
+term, multiplied by 1 (x) 1 (x) 1 on both sides, looked every value up
+through ``ThreeCochain.__call__`` and multiplied scalars, multiplied and
+inverted scalars, ran the full
 triple loop, multiplied five materialised tensors, multiplied by every image
 coefficient, computed each aggregated slot with a generator expression,
 filtered each power Delta(x)^b through the diagonal Delta(1_s), added one
@@ -30,8 +37,9 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from qhopf import algebra
 from qhopf.algebra import Tensor, conjugate, invert
-from qhopf.axioms import _witness
+from qhopf.axioms import _low_degree_indices, _witness, deterministic_sample
 from qhopf.cyclotomic import Cyclotomic, _numerators, _reduction_rows, euler_phi, one, zero
 from qhopf.twist import ConstructionError, aggregate_to_bold
 
@@ -94,6 +102,51 @@ def check_antipode(S, pair_sample=25, seed=0):
                 lhs.first_difference(rhs),
             )
     return None
+
+
+def check_quasi_coassoc(S, sample=20, seed=0):
+    ops = S.frame
+    phi, phi_inv = ops.associator, ops.associator_inv
+    diagonal = ops.descriptor.diag_indices is not None
+    low = _low_degree_indices(S)
+    sampled = deterministic_sample(ops.descriptor.dim, sample, seed, always=low)
+    low_set = set(low)
+    for idx in low + [i for i in sampled if i not in low_set]:
+        d = ops.coproduct(idx)
+        lhs = algebra.apply_on_factor(d, ops.coproduct, 2, 2)
+        core = algebra.apply_on_factor(d, ops.coproduct, 1, 2)
+        rhs = conjugate(phi, core, phi_inv) if diagonal else phi * core * phi_inv
+        if lhs != rhs:
+            diff = lhs.first_difference(rhs)
+            return _witness(ops, f"u={ops.descriptor.label(idx)}", diff)
+    return None
+
+
+def random_coboundary(n, seed, root):
+    m = n * n
+    pows = [one()]
+    for _ in range(m - 1):
+        pows.append(pows[-1] * root)
+    rng = random.Random(f"coboundary:{n}:{seed}")
+    b = {}
+    for i in range(n):
+        for j in range(n):
+            b[(i, j)] = pows[rng.randrange(m)] if i and j else one()
+
+    def binv(i, j):
+        return b[(i % n, j % n)].inverse()
+
+    values = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                values[(i, j, k)] = (
+                    b[(j % n, k % n)]
+                    * binv(i + j, k)
+                    * b[(i % n, (j + k) % n)]
+                    * binv(i, j)
+                )
+    return values
 
 
 def check_cocycle(c):

@@ -18,7 +18,8 @@ from qhopf.cyclotomic import (
     root_of_unity,
     zero,
 )
-from qhopf.linalg import solve
+from qhopf.algebra import _scalar
+from qhopf.linalg import _prime_powers, solve
 
 SMALL_CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25]
 
@@ -336,6 +337,66 @@ def test_root_table_across_conductors(m1, m2):
             _same_entry(ra * rb, ua * ub)
             _same_entry(rb * ra, ub * ua)
             assert (ra == rb) == (ua == ub)
+
+
+def _signed_entries(m):
+    """Every root of unity of Q(zeta_m) as a table entry: the m roots and
+    their negatives."""
+    roots = [root_of_unity(m, k) for k in range(m)]
+    return roots + [-r for r in roots]
+
+
+@pytest.mark.parametrize("m", INVERSE_CONDUCTORS)
+def test_negated_entries_keep_their_tag(m):
+    for k in range(m):
+        r = root_of_unity(m, k)
+        negs = [-r, r * -1, -1 * r, r * Fraction(-1)]
+        expected = -_untagged(r)
+        for neg in negs:
+            assert neg._k is not None
+            assert (neg.conductor, neg._c) == (m, expected._c)
+        # one entry per value: -zeta^k is zeta^(k + m/2) for even m
+        assert negs[0] is (root_of_unity(m, k + m // 2) if m % 2 == 0 else negs[1])
+        assert -negs[0] is r and r * 1 is r
+    # the scalar -1 of algebra coefficients keeps its conductor 2
+    assert _scalar(-1).conductor == 2 and _scalar(-1) == -one()
+
+
+@pytest.mark.parametrize("m", INVERSE_CONDUCTORS)
+def test_signed_entries_match_untagged_copies(m):
+    p, powers = _prime_powers(lcm(2, m))
+    for a in _signed_entries(m):
+        ua = _untagged(a)
+        assert a.is_one() == ua.is_one()
+        assert a.multiplicative_order() == ua.multiplicative_order()
+        assert a.residue(p, powers) == ua.residue(p, powers)
+        _same_entry(a.inverse(), ua.inverse())
+        _same_entry(-a, -ua)
+        ua_inv = _untagged(ua.inverse())
+        for k in (-m - 1, -2, -1, 0, 1, 2, 3, m, 2 * m + 1):
+            _same_entry(a**k, ua**k if k >= 0 else ua_inv ** (-k))
+        for b in _signed_entries(m):
+            ub = _untagged(b)
+            _same_entry(a * b, ua * ub)
+            assert (a == b) == (ua == ub) == (a._c == b._c)
+            assert (a == ub) == (ua == b) == (a == b)
+
+
+@pytest.mark.parametrize(
+    "m1,m2", [(1, 2), (1, 5), (2, 9), (1, 36), (3, 4), (4, 36), (9, 36), (5, 25), (25, 3)]
+)
+def test_signed_entries_across_conductors(m1, m2):
+    for a in _signed_entries(m1):
+        ua = _untagged(a)
+        for b in _signed_entries(m2):
+            ub = _untagged(b)
+            _same_entry(a * b, ua * ub)
+            _same_entry(b * a, ub * ua)
+            assert (a == b) == (ua == ub)
+        for x in _untagged_samples(m2):
+            # the signed shift against the power-basis product
+            _assert_matches_oracle(a * x, ua, x)
+            _assert_matches_oracle(x * a, x, ua)
 
 
 @pytest.mark.parametrize("m", INVERSE_CONDUCTORS)

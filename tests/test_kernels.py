@@ -1,15 +1,19 @@
 """The arithmetic-only kernels against their oracles in ``kernel_oracles``:
 ``check_antipode`` on every structure at n = 2..4 and on corrupted frames,
-``check_cocycle`` on random cochains, ``mat_mul`` on random sparse matrices,
-``apply_on_factor`` on random tensors, ``coboundary_associator`` on every
-structure at n = 2..5, at n = 6, e = 1, and on defective twists, and
-``aggregate_to_bold`` on those associators, on the ambient powers of the
-twisted coproduct of x at n <= 3 and on elements that leave A, the frame
-coproduct table of ``build_quasi_hopf`` and ``antipode_elements`` on every
-structure at n = 2..5 and at n = 6, e = 1, and the root scatter of
-``cyclotomic._root_times`` on random elements.  Results and witnesses must be
-equal, and so must every product entry with its conductor and its rendering,
-and every tensor term with its key order."""
+``check_quasi_coassoc`` on the Hopf algebra, unit associator or not,
+``check_cocycle`` and ``random_coboundary`` on random cochains, ``mat_mul`` on
+random sparse matrices, ``apply_on_factor`` on random tensors,
+``coboundary_associator`` on every structure at n = 2..5, at n = 6, e = 1,
+and on defective twists, and ``aggregate_to_bold`` on those associators, on
+the ambient powers of the twisted coproduct of x at n <= 3 and on elements
+that leave A, the frame coproduct table of ``build_quasi_hopf`` and
+``antipode_elements`` on every structure at n = 2..5 and at n = 6, e = 1, and
+the root scatter of ``cyclotomic._root_times`` on random elements, signed or
+not.  The exponent routes of ``check_cocycle``, ``random_coboundary`` and
+``coboundary_associator`` meet their scalar routes on untagged copies of the
+same values.  Results and witnesses must be equal, and so must every product
+entry with its conductor and its rendering, and every tensor term with its
+key order."""
 
 import random
 import sys
@@ -44,6 +48,7 @@ from qhopf.twist import (
     build_quasi_hopf,
     build_twist,
     coboundary_associator,
+    taft_hopf,
 )
 
 STRUCTURES = [(n, e) for n in (2, 3, 4) for e in coprime_exponents(n)]
@@ -92,13 +97,19 @@ def test_antipode_witnesses_match_on_corrupted_frames(n, e):
         assert witness == oracle.check_antipode(S)
 
 
+def _untagged(x):
+    """A copy of x with the same conductor and coefficients and no root-table
+    tag, so that every operation on it takes the power-basis path."""
+    return Cyclotomic(x.conductor, dict(x._c))
+
+
 def _random_value(rng, m):
     kind = rng.randrange(4)
     root = root_of_unity(m, rng.randrange(m))
     if kind == 0:
         return root
     if kind == 1:
-        return -root  # an untagged root
+        return _untagged(-root)  # an untagged root
     if kind == 2:
         return root * rng.choice([2, -3])
     return root + root_of_unity(2 * m, rng.randrange(1, 2 * m))  # mixed conductors
@@ -124,10 +135,19 @@ def _random_cochain(rng, n):
     return ThreeCochain(n, values)
 
 
+def _untagged_cochain(c):
+    return ThreeCochain(c.n, {key: _untagged(v) for key, v in c.values.items()})
+
+
+def _is_root_table(c):
+    return all(v._k is not None and not v._neg for v in c.values.values())
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cocycle_check_matches_the_dict_lookups(n):
     rng = random.Random(f"cochains:{n}")
-    cochains = [cyclic_cochain(n, root_of_unity(n * n, 1), l) for l in range(n)]
+    m = n * n
+    cochains = [cyclic_cochain(n, root_of_unity(m, 1), l) for l in range(n)]
     for seed in range(6):
         db = random_coboundary(n, seed)
         cochains += [
@@ -137,10 +157,47 @@ def test_cocycle_check_matches_the_dict_lookups(n):
             _perturbed(db, rng, normalized=False),
             _random_cochain(rng, n),
         ]
+    # signed entries: the coboundary of a 2-cochain of signs, a cocycle whose
+    # values are -1 of conductor 1, and its product with the family, signed
+    # entries of conductor n^2 for odd n
+    signs = random_coboundary(n, 0, root=-cy_one())
+    cochains += [signs, signs * cochains[1]]
+    # one value scaled by a root of unity (the negative control), and by an
+    # element that is no root of unity
+    for factor in (root_of_unity(m, 1), cy_one() + root_of_unity(m, 1)):
+        values = dict(cochains[1].values)
+        values[(1, 1, 1)] = values[(1, 1, 1)] * factor
+        cochains.append(ThreeCochain(n, values))
     outcomes = [check_cocycle(c) for c in cochains]
     assert outcomes == [oracle.check_cocycle(c) for c in cochains]
+    # the exponent route against the scalar route on the same values
+    assert outcomes == [check_cocycle(_untagged_cochain(c)) for c in cochains]
+    routed = [c for c in cochains if _is_root_table(c)]
+    assert len(routed) >= n + 6
     assert None in outcomes and any(w and "cocycle condition" in w for w in outcomes)
     assert any(w and "normalization" in w for w in outcomes)
+    assert outcomes[-4:-2] == [None, None]
+    assert _is_root_table(cochains[-2]) and "cocycle condition" in outcomes[-2]
+    assert not _is_root_table(cochains[-1]) and "cocycle condition" in outcomes[-1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_coboundary_exponents_match_the_scalar_products(n):
+    m = n * n
+    roots = [root_of_unity(m, 1), root_of_unity(m, 2 if n > 2 else 3), root_of_unity(n, 1)]
+    for seed in range(4):
+        for root in roots:
+            db = random_coboundary(n, seed, root=root)
+            assert _is_root_table(db)
+            for scalar_root in (root, _untagged(root)):
+                want = oracle.random_coboundary(n, seed, scalar_root)
+                assert list(db.values) == list(want)
+                for v, w in zip(db.values.values(), want.values()):
+                    assert v.conductor == w.conductor and v._c == w._c
+            # the scalar route of random_coboundary itself
+            scalar = random_coboundary(n, seed, root=_untagged(root))
+            for v, w in zip(db.values.values(), scalar.values.values()):
+                assert v.conductor == w.conductor and v._c == w._c
 
 
 def _random_sparse(rng, rows, cols):
@@ -234,6 +291,17 @@ def test_coboundary_associator_matches_the_five_factor_product(n, e):
     _same_terms(coboundary_associator(t, J), oracle.coboundary_associator(t, J))
 
 
+@pytest.mark.parametrize("n,e", [(n, e) for n in (2, 3, 4) for e in coprime_exponents(n)])
+def test_associator_exponents_match_the_scalar_products(n, e):
+    # an untagged copy of J sends the four-factor product down the scalar route
+    t = TaftAlgebra(n, e)
+    J = build_twist(t)
+    plain = Tensor(t.H_idem, 2, {key: _untagged(c) for key, c in J.terms.items()})
+    got = coboundary_associator(t, J)
+    assert all(c._k is not None for c in got.terms.values())
+    _same_terms(got, coboundary_associator(t, plain))
+
+
 def _defective_twist(t, key, factor):
     """J with the coefficient at ``key`` scaled by ``factor``, or dropped
     when ``factor`` is None."""
@@ -248,17 +316,20 @@ def _defective_twist(t, key, factor):
 @pytest.mark.parametrize("n", [2, 3])
 def test_associator_routes_agree_on_a_scaled_twist(n):
     t = TaftAlgebra(n, 1)
-    J = _defective_twist(t, (t.m, 2 * t.m), t.q)
-    phi = coboundary_associator(t, J)
-    _same_terms(phi, oracle.coboundary_associator(t, J))
-    witnesses = []
-    for route in (coboundary_associator, oracle.coboundary_associator):
-        ctx = BuildContext(n, 1, 0)
-        ctx.twist = J
-        ctx.phi_prim = route(t, J)
-        witnesses.append(_chk_associator_identity(ctx))
-    assert witnesses[0] == witnesses[1]
-    assert witnesses[0].startswith("coboundary differs from the l = -1 associator at")
+    # q keeps every factor a root-table entry; -1 makes a signed entry for
+    # odd n, and 2 a value that is no root of unity
+    for factor in (t.q, -1, 2):
+        J = _defective_twist(t, (t.m, 2 * t.m), factor)
+        phi = coboundary_associator(t, J)
+        _same_terms(phi, oracle.coboundary_associator(t, J))
+        witnesses = []
+        for route in (coboundary_associator, oracle.coboundary_associator):
+            ctx = BuildContext(n, 1, 0)
+            ctx.twist = J
+            ctx.phi_prim = route(t, J)
+            witnesses.append(_chk_associator_identity(ctx))
+        assert witnesses[0] == witnesses[1]
+        assert witnesses[0].startswith("coboundary differs from the l = -1 associator at")
 
 
 def test_associator_routes_reject_a_twist_with_a_missing_key():
@@ -449,6 +520,65 @@ def test_root_scatter_matches_the_row_loops():
             root = root_of_unity(m1, k)
             _same_scalar(root * x, want)
             _same_scalar(x * root, want)
+            # -zeta^k scatters to the negated rows, or shifts by m/2 for even
+            # m, where a zero shift returns x with its own term order
+            negated = sorted((e, -v) for e, v in want._c.items())
+            for got in (_root_times(m1, k, x, True), -root * x, x * -root):
+                assert got.conductor == want.conductor and got._k is None
+                assert sorted(got._c.items()) == negated
+                assert all(type(got._c[e]) is type(v) for e, v in negated)
+
+
+def _scaled_coproduct(S, idx, factor):
+    base = S.frame.coproduct
+
+    def coproduct(k):
+        return base(k).scale(factor) if k == idx else base(k)
+
+    return replace(S, frame=replace(S.frame, coproduct=coproduct))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quasi_coassoc_on_h_matches_the_product_route(n, monkeypatch):
+    for e in coprime_exponents(n):
+        H = taft_hopf(n, e)
+        t, frame = H.taft, H.frame
+        unit3 = t.H.unit_tensor(3)
+        q = t.q_power(1)
+        cases = [
+            H,
+            _scaled_coproduct(H, 1, 2),  # Delta(x) doubled
+            _scaled_coproduct(H, t.m + 1, q),  # Delta(g x) scaled by q
+            # a central associator: the product route still runs, and passes
+            replace(
+                H,
+                frame=replace(
+                    frame, associator=unit3.scale(q), associator_inv=unit3.scale(q.inverse())
+                ),
+            ),
+            # an associator whose inverse is wrong fails there
+            replace(H, frame=replace(frame, associator=unit3.scale(2))),
+        ]
+        witnesses = [check_quasi_coassoc(S, sample=8, seed=e) for S in cases]
+        assert witnesses == [oracle.check_quasi_coassoc(S, sample=8, seed=e) for S in cases]
+        assert witnesses[0] is None and witnesses[3] is None
+        assert all(w and w.startswith("u=") for w in witnesses[1:3] + witnesses[4:])
+        assert witnesses[4].endswith(" vs 2")
+    # the unit associator makes no product with it; any other one does
+    products = []
+    original = Tensor.__mul__
+
+    def counted(self, other):
+        products.append(self.rank)
+        return original(self, other)
+
+    monkeypatch.setattr(Tensor, "__mul__", counted)
+    H = taft_hopf(n)
+    check_quasi_coassoc(H, sample=4)
+    assert 3 not in products
+    unit3 = H.taft.H.unit_tensor(3)
+    check_quasi_coassoc(replace(H, frame=replace(H.frame, associator=unit3.scale(2))), sample=4)
+    assert 3 in products
 
 
 def test_over_matches_the_division_loop():
