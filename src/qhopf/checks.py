@@ -44,6 +44,7 @@ from .bqrep import (
     vq_module,
 )
 from .cocycle import (
+    CochainError,
     ThreeCochain,
     check_cocycle,
     class_invariant,
@@ -484,9 +485,9 @@ def _fam_negative_controls(contexts, seed) -> str | None:
         if not witness:
             return f"{tag}: failure carries no witness"
     t = ctx.taft
-    values = dict(cyclic_cochain(t.n, t.q, 1).values)
-    values[(1, 1, 1)] = values[(1, 1, 1)] * t.q
-    if not check_cocycle(ThreeCochain(t.n, values)):
+    exps = list(cyclic_cochain(t.n, t.q, 1).exps)
+    exps[t.m + t.n + 1] = (exps[t.m + t.n + 1] + t.exponent) % t.m  # the value at (1,1,1) times q
+    if not check_cocycle(ThreeCochain(t.n, tuple(exps))):
         return "corrupted cochain not rejected with a witness"
     return None
 
@@ -517,8 +518,10 @@ def _run_check(name: str, check, *args, contexts=()) -> CheckResult:
     the check.
 
     An exception becomes a failed check: a structure that cannot be built is
-    a construction failure, and anything else an internal error named by its
-    type and the place it was raised.
+    a construction failure, a cochain value off the n^2-th roots of unity or a
+    class invariant asked of a non-cocycle fails with its witness, and
+    anything else is an internal error named by its type and the place it was
+    raised.
     """
     built = _built_ms(contexts)
     started = time.perf_counter()
@@ -526,6 +529,8 @@ def _run_check(name: str, check, *args, contexts=()) -> CheckResult:
         witness = check(*args)
     except (ConstructionError, SingularElementError) as err:
         witness = f"construction failure: {err}"
+    except CochainError as err:
+        witness = str(err)
     except Exception as err:  # a programming error, not a counterexample
         frame = traceback.extract_tb(err.__traceback__)[-1]
         place = f"{os.path.basename(frame.filename)}:{frame.lineno}"

@@ -1,29 +1,24 @@
-"""3-cocycles on the cyclic group Z/n and a coboundary-invariant class detector.
+"""3-cocycles on the cyclic group Z/n with values in the n^2-th roots of
+unity, and a coboundary-invariant class detector.
 
-A three-cochain is a nowhere-zero map (Z/n)^3 -> Q(zeta), normalized to 1
-whenever an argument is 0.  The cocycle condition used throughout is
+A cochain is held as exponents over zeta = zeta_(n^2), flat in base n: the
+value of a 3-cochain c at (i,j,k) is zeta^c(i,j,k), at i n^2 + j n + k, and
+products of values are sums of exponents mod n^2.  The bar coboundary delta
+of Z/n is stated once, as the face positions ``_faces``; a normalized
+cocycle has exponent 0 wherever an argument is 0 and
 
-    c(j,k,l) c(i,j+k,l) c(i,j,k) = c(i+j,k,l) c(i,j,k+l),
+    c(j,k,l) - c(i+j,k,l) + c(i,j+k,l) - c(i,j,k+l) + c(i,j,k) = 0  (mod n^2)
 
-checked exhaustively over all n^4 quadruples.  The class detector
+at all n^4 quadruples.  The class detector inv(c) = prod_j zeta^c(1,j,1) is
+unchanged by any coboundary (the sum over j telescopes), so a value != 1
+certifies a nontrivial class without searching the space of coboundaries.
 
-    inv(c) = prod_{j=0}^{n-1} c(1, j, 1)
-
-is invariant under multiplication by any coboundary (the product telescopes),
-so a value != 1 certifies a nontrivial cohomology class without searching the
-(infeasible) space of all coboundaries.
-
-``check_cocycle`` returns ``None`` when the cochain is a normalized cocycle and
-otherwise the witness string of its first failure: normalization first, then
-the quadruples in lexicographic order.
-
-Cochain values are roots of unity in every structure this package builds.
-When every value is an unsigned root-table entry (``root_exponents``),
-``check_cocycle`` and ``random_coboundary`` run on exponents over one root
-zeta_m, m the lcm of the conductors: products become sums mod m and
-normalization a zero exponent.  Any other cochain takes the scalar route.  A
-failure witness is always rendered from the scalar products, and each route
-returns the same verdicts, witnesses and values as the other.
+``check_cocycle`` returns ``None`` on a normalized cocycle and otherwise the
+witness of its first failure: normalization first, then the quadruples in
+lexicographic order, with both sides rendered as powers of zeta.
+``cochain_from_bold_tensor`` is the one reader of scalars, and raises
+``CochainError`` with the triple and the value where a coefficient is no
+n^2-th root of unity.
 """
 
 from __future__ import annotations
@@ -32,11 +27,12 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import lcm
+from math import gcd
 
-from .cyclotomic import Cyclotomic, one as cy_one, root_exponents, root_of_unity
+from .cyclotomic import Cyclotomic, root_of_unity
 
 __all__ = [
+    "CochainError",
     "ThreeCochain",
     "check_cocycle",
     "class_invariant",
@@ -47,164 +43,154 @@ __all__ = [
 ]
 
 
-@dataclass
+class CochainError(ValueError):
+    """A scalar read as a cochain value is no n^2-th root of unity, or a class
+    invariant was asked of a cochain that is no cocycle; the message is the
+    witness."""
+
+
+@dataclass(frozen=True)
 class ThreeCochain:
-    """Values of a normalized 3-cochain on (Z/n)^3; all entries nonzero."""
+    """A 3-cochain on (Z/n)^3 as n^3 exponents over zeta_(n^2), in 0..n^2-1,
+    at the flat positions i n^2 + j n + k."""
 
     n: int
-    values: dict
+    exps: tuple[int, ...]
 
     def __post_init__(self):
-        for key, v in self.values.items():
-            if v.is_zero():
-                raise ValueError(f"cochain vanishes at {key}")
+        m = self.n * self.n
+        if len(self.exps) != self.n**3 or not all(0 <= e < m for e in self.exps):
+            raise ValueError(f"need {self.n ** 3} exponents in 0..{m - 1}")
 
-    def __call__(self, i: int, j: int, k: int) -> Cyclotomic:
-        return self.values[(i % self.n, j % self.n, k % self.n)]
+    def __call__(self, i: int, j: int, k: int) -> int:
+        n = self.n
+        return self.exps[(i % n * n + j % n) * n + k % n]
 
     def __mul__(self, other: "ThreeCochain") -> "ThreeCochain":
         if self.n != other.n:
             raise ValueError("modulus mismatch")
-        return ThreeCochain(
-            self.n, {key: v * other.values[key] for key, v in self.values.items()}
-        )
+        m = self.n * self.n
+        return ThreeCochain(self.n, tuple((a + b) % m for a, b in zip(self.exps, other.exps)))
 
-    def __eq__(self, other):
-        return isinstance(other, ThreeCochain) and self.n == other.n and self.values == other.values
+
+def _exponent(v: Cyclotomic, m: int) -> int | None:
+    """The e in 0..m-1 with v = zeta_m^e, or None when v is no m-th root of
+    unity.  An unsigned root-table entry zeta_c^k with c dividing m is read
+    by its exponent; any other value by equality with the root table."""
+    c = v.conductor
+    if v._k is not None and not v._neg and not m % c:
+        return v._k * (m // c)
+    return next((e for e in range(m) if v == root_of_unity(m, e)), None)
 
 
 def cyclic_cochain(n: int, q: Cyclotomic, l: int) -> ThreeCochain:
-    """The cochain (i,j,k) -> q^(l i (j+k-(j+k)')), with ' reduction mod n.
-
-    q must have multiplicative order n^2.
-    """
+    """The cochain (i,j,k) -> q^(l i (j+k-(j+k)')), with ' reduction mod n,
+    for q of multiplicative order n^2."""
     m = n * n
-    if q.multiplicative_order() != m:
+    s = _exponent(q, m)
+    if s is None or gcd(s, m) != 1:
         raise ValueError(f"scalar must be a primitive root of order {m}")
-    pows = [cy_one()]
-    for _ in range(m - 1):
-        pows.append(pows[-1] * q)
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                e = (l * i * (j + k - (j + k) % n)) % m
-                values[(i, j, k)] = pows[e]
-    return ThreeCochain(n, values)
+    cube = product(range(n), repeat=3)
+    return ThreeCochain(n, tuple(s * l * i * (j + k - (j + k) % n) % m for i, j, k in cube))
 
 
 def cochain_from_bold_tensor(n: int, m: int, tensor) -> ThreeCochain:
-    """Read off a cochain from a rank-3 tensor diagonal on aggregated idempotents."""
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                values[(i, j, k)] = tensor.coefficient((i * m, j * m, k * m))
-    return ThreeCochain(n, values)
+    """Read off a cochain from a rank-3 tensor diagonal on aggregated
+    idempotents; raises ``CochainError`` at the first triple whose
+    coefficient is no n^2-th root of unity."""
+    exps = []
+    for i, j, k in product(range(n), repeat=3):
+        v = tensor.coefficient((i * m, j * m, k * m))
+        e = _exponent(v, n * n)
+        if e is None:
+            raise CochainError(
+                f"cochain value at ({i},{j},{k}) is {v.render()}, "
+                f"not a root of unity of order dividing {n * n}"
+            )
+        exps.append(e)
+    return ThreeCochain(n, tuple(exps))
+
+
+def _face(g: tuple[int, ...], t: int, n: int) -> tuple[int, ...]:
+    """Face t of the point g of (Z/n)^(d+1): face 0 drops g_0, face t merges
+    g_(t-1) + g_t, face d + 1 drops g_d."""
+    if t == 0:
+        return g[1:]
+    if t == len(g):
+        return g[:-1]
+    return g[: t - 1] + ((g[t - 1] + g[t]) % n,) + g[t + 1 :]
 
 
 @cache
-def _positions(n: int) -> tuple[list[int], ...]:
-    """Over the n^4 quadruples (i, j, k, l) in lexicographic order, the flat
-    positions i n^2 + j n + k of the five cochain values in the cocycle
-    condition, one list each: c(j,k,l), c(i,j+k,l), c(i,j,k) on the left,
-    c(i+j,k,l), c(i,j,k+l) on the right."""
-    nn = n * n
-    quads = list(product(range(n), repeat=4))
-    return (
-        [j * nn + k * n + l for i, j, k, l in quads],
-        [i * nn + (j + k) % n * n + l for i, j, k, l in quads],
-        [i * nn + j * n + k for i, j, k, l in quads],
-        [(i + j) % n * nn + k * n + l for i, j, k, l in quads],
-        [i * nn + j * n + (k + l) % n for i, j, k, l in quads],
+def _faces(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The bar coboundary delta from d-cochains to (d+1)-cochains of Z/n: for
+    each face t = 0..d+1, of sign (-1)^t, the flat position in a d-cochain of
+    face t of each point of (Z/n)^(d+1), in lexicographic order."""
+    index = {g: p for p, g in enumerate(product(range(n), repeat=d))}
+    return tuple(
+        tuple(index[_face(g, t, n)] for g in product(range(n), repeat=d + 1))
+        for t in range(d + 2)
     )
 
 
-def check_cocycle(c: ThreeCochain) -> str | None:
-    """Exhaustive cocycle condition over n^4 quadruples, plus normalization.
+def _coboundary(n: int, d: int, x) -> list[int]:
+    """delta x mod n^2 for a d-cochain x of exponents."""
+    faces = _faces(n, d)
+    acc = [x[p] for p in faces[0]]
+    for t in range(1, d + 2):
+        if t % 2:
+            acc = [a - x[p] for a, p in zip(acc, faces[t])]
+        else:
+            acc = [a + x[p] for a, p in zip(acc, faces[t])]
+    m = n * n
+    return [a % m for a in acc]
 
-    The n^3 values are read once into a flat table indexed by
-    i n^2 + j n + k, and each quadruple reads its five values at positions
-    tabled once per n.  A table of unsigned root-table entries is compared
-    on exponents mod the lcm m of its conductors; any other table on scalar
-    products.  A failure's witness renders the scalar products either way.
-    """
+
+def check_cocycle(c: ThreeCochain) -> str | None:
+    """Normalization, then delta c = 0 at each of the n^4 quadruples."""
     n = c.n
     nn = n * n
-    values = c.values
-    table = [values[(i, j, k)] for i in range(n) for j in range(n) for k in range(n)]
-    m = lcm(*{v.conductor for v in table})
-    exps = root_exponents(table, m)
-    unit = [v.is_one() for v in table] if exps is None else [not e for e in exps]
+    x = c.exps
     for i in range(n):
         for j in range(n):
-            if not (unit[i * n + j] and unit[i * nn + j] and unit[i * nn + j * n]):
+            if x[i * n + j] or x[i * nn + j] or x[i * nn + j * n]:
                 return f"normalization broken near ({i},{j})"
-    for ijkl, a, b, t, d, e in zip(product(range(n), repeat=4), *_positions(n)):
-        if exps is None:
-            holds = table[a] * table[b] * table[t] == table[d] * table[e]
-        else:
-            holds = not (exps[a] + exps[b] + exps[t] - exps[d] - exps[e]) % m
-        if not holds:
-            lhs = table[a] * table[b] * table[t]
-            rhs = table[d] * table[e]
-            return (
-                f"cocycle condition fails at ({','.join(map(str, ijkl))}): "
-                f"{lhs.render()} vs {rhs.render()}"
-            )
-    return None
+    defects = _coboundary(n, 3, x)
+    if not any(defects):
+        return None
+    pos = next(p for p, e in enumerate(defects) if e)
+    # the faces of sign + make the left side, those of sign - the right
+    lhs, rhs = (sum(x[face[pos]] for face in _faces(n, 3)[t::2]) for t in (0, 1))
+    quad = ",".join(map(str, (pos // (nn * n), pos // nn % n, pos // n % n, pos % n)))
+    return (
+        f"cocycle condition fails at ({quad}): "
+        f"{root_of_unity(nn, lhs).render()} vs {root_of_unity(nn, rhs).render()}"
+    )
 
 
 def class_invariant(c: ThreeCochain) -> Cyclotomic:
-    """prod_j c(1, j, 1); equal to 1 exactly on the classes of coboundaries
-    (among cocycles of this shape its value on the l-family is Q^l)."""
+    """prod_j c(1, j, 1) of a cochain that passes ``check_cocycle``; raises
+    ``CochainError`` on any other.  The checks find it 1 on the coboundaries
+    they draw and Q^l on the l-family of ``cyclic_cochain``; that it is 1
+    only on the classes of coboundaries is not checked."""
     witness = check_cocycle(c)
     if witness is not None:
-        raise ValueError(f"class invariant needs a cocycle: {witness}")
+        raise CochainError(f"class invariant needs a cocycle: {witness}")
     return invariant_product(c)
 
 
 def invariant_product(c: ThreeCochain) -> Cyclotomic:
     """prod_j c(1, j, 1) without the cocycle check: the class invariant of a
-    cochain that ``check_cocycle`` has already passed."""
-    acc = cy_one()
-    for j in range(c.n):
-        acc = acc * c(1, j, 1)
-    return acc
+    cochain that ``check_cocycle`` has already passed, as a root-table entry
+    of conductor n^2."""
+    return root_of_unity(c.n * c.n, sum(c(1, j, 1) for j in range(c.n)))
 
 
-def random_coboundary(n: int, seed: int, root: Cyclotomic | None = None) -> ThreeCochain:
-    """The coboundary of a random normalized 2-cochain with values in the
-    n^2-th roots of unity:
-
-        db(i,j,k) = b(j,k) b(i+j,k)^(-1) b(i,j+k) b(i,j)^(-1).
-
-    Always a normalized 3-cocycle of trivial class.  When the powers of
-    ``root`` are unsigned root-table entries, each value is the entry at the
-    sum of the four exponents.
-    """
+def random_coboundary(n: int, seed: int) -> ThreeCochain:
+    """delta b for a random normalized 2-cochain b with values in the n^2-th
+    roots of unity, b(i, j) drawn at i n + j for i, j != 0.  Always a
+    normalized 3-cocycle of trivial class."""
     m = n * n
-    if root is None:
-        root = root_of_unity(m, 1)
-    pows = [cy_one()]
-    for _ in range(m - 1):
-        pows.append(pows[-1] * root)
     rng = random.Random(f"coboundary:{n}:{seed}")
-    # b(i, j) at i n + j
-    b = [pows[rng.randrange(m)] if i and j else cy_one() for i in range(n) for j in range(n)]
-    top = lcm(*{v.conductor for v in b})
-    exps = root_exponents(b, top)
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                pos = (j * n + k, (i + j) % n * n + k, i * n + (j + k) % n, i * n + j)
-                f1, f2, f3, f4 = (b[p] for p in pos)
-                if exps is None:
-                    values[(i, j, k)] = f1 * f2.inverse() * f3 * f4.inverse()
-                    continue
-                # the entry the scalar product returns, of the lcm of the factors' conductors
-                e1, e2, e3, e4 = (exps[p] for p in pos)
-                c = lcm(f1.conductor, f2.conductor, f3.conductor, f4.conductor)
-                values[(i, j, k)] = root_of_unity(c, (e1 - e2 + e3 - e4) % top // (top // c))
-    return ThreeCochain(n, values)
+    b = [rng.randrange(m) if i and j else 0 for i in range(n) for j in range(n)]
+    return ThreeCochain(n, tuple(_coboundary(n, 2, b)))

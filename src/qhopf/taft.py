@@ -233,10 +233,9 @@ class TaftAlgebra:
 
     def delta(self, u: Tensor) -> Tensor:
         """Linear extension of the coproduct to any rank-1 element of H."""
-        acc = Tensor(self.H, 2, {})
-        for (idx,), c in u.terms.items():
-            acc = acc + self.delta_basis(idx).scale(c)
-        return acc
+        return Tensor.combination(
+            self.H, 2, ((self.delta_basis(idx), c) for (idx,), c in u.terms.items())
+        )
 
     def epsilon_basis(self, idx: int) -> Cyclotomic:
         return cy_one() if idx % self.m == 0 else cy_zero()
@@ -258,10 +257,9 @@ class TaftAlgebra:
         return out
 
     def antipode(self, u: Tensor) -> Tensor:
-        acc = Tensor(self.H, 1, {})
-        for (idx,), c in u.terms.items():
-            acc = acc + self.antipode_basis(idx).scale(c)
-        return acc
+        return Tensor.combination(
+            self.H, 1, ((self.antipode_basis(idx), c) for (idx,), c in u.terms.items())
+        )
 
     # -- change of coordinates ---------------------------------------------------
 

@@ -4,14 +4,15 @@ check, the coboundary of a random 2-cochain on scalars, the dense matrix
 product, the five-factor coboundary associator, the slot map that
 multiplies by every image coefficient, the aggregation that maps every
 slot by arithmetic, the frame coproduct table through powers of Delta(x),
-the Tensor-sum distinguished elements and the root scatter that reduces
-every shifted exponent, kept as differential oracles.
+the Tensor-sum distinguished elements, the Tensor-sum coproduct and
+antipode of H and the root scatter that reduces every shifted exponent,
+kept as differential oracles.
 
 ``qhopf.axioms.check_antipode`` accumulates its sums into coefficient dicts,
 ``qhopf.axioms.check_quasi_coassoc`` leaves the right side alone under the
-unit associator of H, ``qhopf.cocycle.check_cocycle`` reads a flat value
-table and adds exponents where its values are roots,
-``qhopf.cocycle.random_coboundary`` adds exponents,
+unit associator of H, ``qhopf.cocycle.check_cocycle`` and
+``qhopf.cocycle.random_coboundary`` hold cochains as exponents over
+zeta_(n^2) and apply the bar coboundary to them,
 ``qhopf.linalg.mat_mul`` visits only nonzero entries,
 ``qhopf.twist.coboundary_associator`` takes its product key by key over flat
 tables indexed by idempotent position, ``qhopf.algebra.apply_on_factor``
@@ -19,7 +20,8 @@ skips image coefficients equal to 1, ``qhopf.twist.aggregate_to_bold``
 maps slots through a cached table and compares equal roots by identity first,
 the frame coproduct of ``qhopf.twist.build_quasi_hopf`` takes
 Delta(1_s x^b) = Delta(1_s x^(b-1)) Delta(x), one product per entry,
-``qhopf.twist.antipode_elements`` sums into one coefficient dict, and
+``qhopf.twist.antipode_elements`` and ``TaftAlgebra.delta`` and
+``TaftAlgebra.antipode`` sum into one coefficient dict, and
 ``qhopf.cyclotomic._root_times`` reads rows tabled per shift and builds its
 result with one comprehension.  Before that they summed whole Tensors term by
 term, multiplied by 1 (x) 1 (x) 1 on both sides, looked every value up
@@ -30,7 +32,8 @@ coefficient, computed each aggregated slot with a generator expression,
 filtered each power Delta(x)^b through the diagonal Delta(1_s), added one
 scaled Tensor per term of the twist and reduced (e + k) mod m per term.
 Those versions live on here unchanged, and the tests require equal results
-and equal witnesses.
+and equal witnesses; the two cocycle oracles read a cochain of exponents
+through its values zeta_(n^2)^e.
 """
 
 import random
@@ -275,6 +278,20 @@ def antipode_elements(taft, J):
     for (kf, kg), c in J.terms.items():
         beta = beta + (taft.H_idem.basis_tensor((kf,)) * taft.antipode_idem_basis(kg)).scale(c)
     return alpha, beta
+
+
+def taft_delta(taft, u):
+    acc = Tensor(taft.H, 2, {})
+    for (idx,), c in u.terms.items():
+        acc = acc + taft.delta_basis(idx).scale(c)
+    return acc
+
+
+def taft_antipode(taft, u):
+    acc = Tensor(taft.H, 1, {})
+    for (idx,), c in u.terms.items():
+        acc = acc + taft.antipode_basis(idx).scale(c)
+    return acc
 
 
 def over(m, nums, den):

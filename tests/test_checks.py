@@ -1,10 +1,11 @@
 """The check registry: the closure sweep against its monomial route, the rule
 that library checks are called through this module's names, the coboundaries
-of ``cocycle_invariance``, the timed construction phases and the wording of
-failures raised as exceptions."""
+of ``cocycle_invariance``, the cocycle checks on a defective associator, the
+timed construction phases and the wording of failures raised as exceptions."""
 
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from qhopf.checks import (
     run_suite,
 )
 from qhopf.cli import coprime_exponents
-from qhopf.algebra import SingularElementError
+from qhopf.algebra import SingularElementError, Tensor
 from qhopf.cocycle import ThreeCochain
 from qhopf.twist import ConstructionError
 
@@ -59,16 +60,17 @@ def test_library_checks_are_called_by_their_names_in_checks(monkeypatch):
 
 def _coboundaries(monkeypatch, bad_seed=None):
     """Let cocycle_invariance draw its coboundaries through a recorder; the
-    one at ``bad_seed`` has a value scaled so that it is no cocycle."""
+    one at ``bad_seed`` has its value at (1, 1, 1) times zeta_(n^2), so that
+    it is no cocycle."""
     drawn = []
     original = qhopf.checks.random_coboundary
 
     def coboundary(n, seed):
         db = original(n, seed)
         if seed == bad_seed:
-            values = dict(db.values)
-            values[(1, 1, 1)] = values[(1, 1, 1)] * 2
-            db = ThreeCochain(n, values)
+            exps = list(db.exps)
+            exps[n * n + n + 1] = (exps[n * n + n + 1] + 1) % (n * n)
+            db = ThreeCochain(n, tuple(exps))
         drawn.append(db)
         return db
 
@@ -102,6 +104,68 @@ def test_cocycle_invariance_checks_each_coboundary_once(monkeypatch):
     assert len(drawn) == 10
     assert [sum(c is db for c in checked) for db in drawn] == [1] * 10
     assert len(checked) == 1 + 2 * 10
+
+
+def _defective_associator(monkeypatch, edit):
+    """Let every structure carry its associator with the coefficient at the
+    aggregated idempotent triple (m, m, m) replaced by ``edit`` of it (None
+    drops the term)."""
+    original = qhopf.checks.build_quasi_hopf
+
+    def build(*args, **kwargs):
+        S = original(*args, **kwargs)
+        key = (S.taft.m,) * 3
+        terms = dict(S.frame.associator.terms)
+        terms[key] = edit(terms[key], S.taft)
+        phi = Tensor(S.frame.descriptor, 3, {k: v for k, v in terms.items() if v is not None})
+        return replace(S, frame=replace(S.frame, associator=phi))
+
+    monkeypatch.setattr(qhopf.checks, "build_quasi_hopf", build)
+
+
+COCYCLE_CHECKS = ["cocycle_condition", "cocycle_class", "distinguish_pairs"]
+
+
+@pytest.mark.parametrize(
+    "edit,value",
+    [(lambda v, t: None, "0"), (lambda v, t: v * 2, "2")],
+    ids=["dropped", "doubled"],
+)
+def test_an_associator_value_off_the_roots_fails_every_cocycle_check(monkeypatch, edit, value):
+    # the value at (1,1,1) is 1 on both structures; dropped, it reads 0
+    _defective_associator(monkeypatch, edit)
+    report, code = run_suite(RunConfig(n=3, q_exponents=[1, 2], checks=COCYCLE_CHECKS))
+    assert code == 1
+    witness = f"cochain value at (1,1,1) is {value}, not a root of unity of order dividing 9"
+    results = [c for s in report["structures"] for c in s["checks"]] + report["family_checks"]
+    assert results == [
+        {"name": name, "status": "fail", "witness": witness}
+        for name in COCYCLE_CHECKS[:2] * 2 + COCYCLE_CHECKS[2:]
+    ]
+
+
+def test_a_q_scaled_associator_value_fails_every_cocycle_check(monkeypatch):
+    _defective_associator(monkeypatch, lambda v, t: v * t.q)
+    report, code = run_suite(RunConfig(n=3, q_exponents=[1, 2], checks=COCYCLE_CHECKS))
+    assert code == 1
+    [first, second] = [s["checks"] for s in report["structures"]]
+    condition = "cocycle condition fails at (1,1,1,1): -z^2 - z^5 vs -1 - z^3"
+    assert first == [
+        {"name": "cocycle_condition", "status": "fail", "witness": f"associator cochain: {condition}"},
+        {
+            "name": "cocycle_class",
+            "status": "fail",
+            "witness": f"class invariant needs a cocycle: {condition}",
+        },
+    ]
+    assert [r["status"] for r in second] == ["fail", "fail"]
+    assert report["family_checks"] == [
+        {
+            "name": "distinguish_pairs",
+            "status": "fail",
+            "witness": f"class invariant needs a cocycle: {condition}",
+        }
+    ]
 
 
 PHASES = ["taft", "twist", "phi_prim", "struct"]

@@ -1,25 +1,28 @@
 """The arithmetic-only kernels against their oracles in ``kernel_oracles``:
 ``check_antipode`` on every structure at n = 2..4 and on corrupted frames,
 ``check_quasi_coassoc`` on the Hopf algebra, unit associator or not,
-``check_cocycle`` and ``random_coboundary`` on random cochains, ``mat_mul`` on
+``check_cocycle`` on random cochains of n^2-th roots of unity and on every
+single-value corruption of the l-family at n <= 4, ``random_coboundary``,
+both read through the values zeta^e of their exponents, ``mat_mul`` on
 random sparse matrices, ``apply_on_factor`` on random tensors,
 ``coboundary_associator`` on every structure at n = 2..5, at n = 6, e = 1,
 and on defective twists, and ``aggregate_to_bold`` on those associators, on
 the ambient powers of the twisted coproduct of x at n <= 3 and on elements
 that leave A, the frame coproduct table of ``build_quasi_hopf`` and
-``antipode_elements`` on every structure at n = 2..5 and at n = 6, e = 1, and
+``antipode_elements`` on every structure at n = 2..5 and at n = 6, e = 1,
+``TaftAlgebra.delta`` and ``TaftAlgebra.antipode`` on random elements, and
 the root scatter of ``cyclotomic._root_times`` on random elements, signed or
-not.  The exponent routes of ``check_cocycle``, ``random_coboundary`` and
-``coboundary_associator`` meet their scalar routes on untagged copies of the
-same values.  Results and witnesses must be equal, and so must every product
-entry with its conductor and its rendering, and every tensor term with its
-key order."""
+not.  The exponent route of ``coboundary_associator`` meets its scalar route
+on untagged copies of the same values.  Results and witnesses must be equal,
+and so must every product entry with its conductor and its rendering, and
+every tensor term with its key order."""
 
 import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -115,32 +118,44 @@ def _random_value(rng, m):
     return root + root_of_unity(2 * m, rng.randrange(1, 2 * m))  # mixed conductors
 
 
-def _perturbed(c, rng, normalized):
-    values = dict(c.values)
-    n = c.n
-    low = 1 if normalized else 0
-    key = tuple(rng.randrange(low, n) for _ in range(3))
-    if not normalized:
-        key = key[:2] + (0,)
-    values[key] = values[key] * _random_value(rng, n * n)
-    return ThreeCochain(n, values)
+class _Values:
+    """A cochain of exponents read as the oracle reads one: c(i, j, k) is the
+    root-table entry zeta_(n^2)^e of the exponent there."""
+
+    def __init__(self, c):
+        self.n = c.n
+        self._c = c
+
+    def __call__(self, i, j, k):
+        return root_of_unity(self.n * self.n, self._c(i, j, k))
 
 
-def _random_cochain(rng, n):
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                values[(i, j, k)] = _random_value(rng, n * n) if i and j and k else cy_one()
-    return ThreeCochain(n, values)
+def _shifted(c, key, shift):
+    """c with the value at ``key`` times zeta_(n^2)^shift."""
+    n, m = c.n, c.n * c.n
+    exps = list(c.exps)
+    pos = (key[0] * n + key[1]) * n + key[2]
+    exps[pos] = (exps[pos] + shift) % m
+    return ThreeCochain(n, tuple(exps))
 
 
-def _untagged_cochain(c):
-    return ThreeCochain(c.n, {key: _untagged(v) for key, v in c.values.items()})
+def _random_cochain(rng, n, normalized):
+    m = n * n
+    return ThreeCochain(
+        n,
+        tuple(
+            rng.randrange(m) if not normalized or (i and j and k) else 0
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+        ),
+    )
 
 
-def _is_root_table(c):
-    return all(v._k is not None and not v._neg for v in c.values.values())
+def _same_outcomes(cochains):
+    outcomes = [check_cocycle(c) for c in cochains]
+    assert outcomes == [oracle.check_cocycle(_Values(c)) for c in cochains]
+    return outcomes
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -150,54 +165,47 @@ def test_cocycle_check_matches_the_dict_lookups(n):
     cochains = [cyclic_cochain(n, root_of_unity(m, 1), l) for l in range(n)]
     for seed in range(6):
         db = random_coboundary(n, seed)
+        key = tuple(rng.randrange(1, n) for _ in range(3))
         cochains += [
             db,
             db * cochains[1],
-            _perturbed(db, rng, normalized=True),
-            _perturbed(db, rng, normalized=False),
-            _random_cochain(rng, n),
+            _shifted(db, key, rng.randrange(1, m)),
+            _shifted(db, key[:2] + (0,), rng.randrange(1, m)),
+            _random_cochain(rng, n, normalized=True),
+            _random_cochain(rng, n, normalized=False),
         ]
-    # signed entries: the coboundary of a 2-cochain of signs, a cocycle whose
-    # values are -1 of conductor 1, and its product with the family, signed
-    # entries of conductor n^2 for odd n
-    signs = random_coboundary(n, 0, root=-cy_one())
-    cochains += [signs, signs * cochains[1]]
-    # one value scaled by a root of unity (the negative control), and by an
-    # element that is no root of unity
-    for factor in (root_of_unity(m, 1), cy_one() + root_of_unity(m, 1)):
-        values = dict(cochains[1].values)
-        values[(1, 1, 1)] = values[(1, 1, 1)] * factor
-        cochains.append(ThreeCochain(n, values))
-    outcomes = [check_cocycle(c) for c in cochains]
-    assert outcomes == [oracle.check_cocycle(c) for c in cochains]
-    # the exponent route against the scalar route on the same values
-    assert outcomes == [check_cocycle(_untagged_cochain(c)) for c in cochains]
-    routed = [c for c in cochains if _is_root_table(c)]
-    assert len(routed) >= n + 6
-    assert None in outcomes and any(w and "cocycle condition" in w for w in outcomes)
+    # one value scaled by q, the negative control of ``negative_controls``
+    cochains.append(_shifted(cochains[1], (1, 1, 1), 1))
+    outcomes = _same_outcomes(cochains)
+    assert outcomes[: n + 2] == [None] * (n + 2)
     assert any(w and "normalization" in w for w in outcomes)
-    assert outcomes[-4:-2] == [None, None]
-    assert _is_root_table(cochains[-2]) and "cocycle condition" in outcomes[-2]
-    assert not _is_root_table(cochains[-1]) and "cocycle condition" in outcomes[-1]
+    assert "cocycle condition" in outcomes[-1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cocycle_witnesses_match_on_every_single_value_corruption(n):
+    # each value of each family member times q, and times q^n
+    m = n * n
+    cochains = [
+        _shifted(cyclic_cochain(n, root_of_unity(m, 1), l), key, shift)
+        for l in range(n)
+        for key in product(range(n), repeat=3)
+        for shift in (1, n)
+    ]
+    outcomes = _same_outcomes(cochains)
+    assert len(outcomes) == 2 * n**4
+    assert any(w and "normalization" in w for w in outcomes)
+    assert any(w and "cocycle condition" in w for w in outcomes)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_coboundary_exponents_match_the_scalar_products(n):
     m = n * n
-    roots = [root_of_unity(m, 1), root_of_unity(m, 2 if n > 2 else 3), root_of_unity(n, 1)]
-    for seed in range(4):
-        for root in roots:
-            db = random_coboundary(n, seed, root=root)
-            assert _is_root_table(db)
-            for scalar_root in (root, _untagged(root)):
-                want = oracle.random_coboundary(n, seed, scalar_root)
-                assert list(db.values) == list(want)
-                for v, w in zip(db.values.values(), want.values()):
-                    assert v.conductor == w.conductor and v._c == w._c
-            # the scalar route of random_coboundary itself
-            scalar = random_coboundary(n, seed, root=_untagged(root))
-            for v, w in zip(db.values.values(), scalar.values.values()):
-                assert v.conductor == w.conductor and v._c == w._c
+    for seed in range(8):
+        db = random_coboundary(n, seed)
+        want = oracle.random_coboundary(n, seed, root_of_unity(m, 1))
+        assert list(want) == list(product(range(n), repeat=3))
+        assert [root_of_unity(m, e) for e in db.exps] == list(want.values())
 
 
 def _random_sparse(rng, rows, cols):
@@ -442,6 +450,16 @@ def test_antipode_elements_match_the_tensor_sums(n, e):
     for got, want in zip(antipode_elements(t, J), oracle.antipode_elements(t, J)):
         assert got.algebra is want.algebra
         _same_terms(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_taft_coproduct_and_antipode_match_the_tensor_sums(n):
+    t = TaftAlgebra(n)
+    rng = random.Random(f"taft sums:{n}")
+    for size in (0, 1, 5, 20):
+        u = _random_tensor(rng, t.H, 1, size)
+        _same_terms(t.delta(u), oracle.taft_delta(t, u))
+        _same_terms(t.antipode(u), oracle.taft_antipode(t, u))
 
 
 def _stack_depth():
