@@ -486,7 +486,8 @@ def _fam_negative_controls(contexts, seed) -> str | None:
             return f"{tag}: failure carries no witness"
     t = ctx.taft
     exps = list(cyclic_cochain(t.n, t.q, 1).exps)
-    exps[t.m + t.n + 1] = (exps[t.m + t.n + 1] + t.exponent) % t.m  # the value at (1,1,1) times q
+    pos = t.m + t.n + 1  # the value at (1,1,1), times q
+    exps[pos] = (exps[pos] + t.exponent) % t.m
     if not check_cocycle(ThreeCochain(t.n, tuple(exps))):
         return "corrupted cochain not rejected with a witness"
     return None

@@ -16,9 +16,9 @@ certifies a nontrivial class without searching the space of coboundaries.
 ``check_cocycle`` returns ``None`` on a normalized cocycle and otherwise the
 witness of its first failure: normalization first, then the quadruples in
 lexicographic order, with both sides rendered as powers of zeta.
-``cochain_from_bold_tensor`` is the one reader of scalars, and raises
-``CochainError`` with the triple and the value where a coefficient is no
-n^2-th root of unity.
+Scalars are read in one place, ``_exponent``: ``cochain_from_bold_tensor``
+reads a tensor's coefficients through it and raises ``CochainError`` with
+the triple and the value where a coefficient is no n^2-th root of unity.
 """
 
 from __future__ import annotations
