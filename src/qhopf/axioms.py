@@ -9,16 +9,23 @@ as soon as it finds one.
 Checks run in the coordinates of ``structure.frame``: for the twisted
 subalgebra that is the aggregated-idempotent basis (products there are
 single-term and the associator is diagonal), for the ambient Hopf algebra the
-monomial basis itself.  Sampled checks draw from a seeded generator and are
-reproducible run to run.
+monomial basis itself.
+
+``check_quasi_coassoc`` proves quasi-coassociativity on every basis element,
+so on the whole algebra: every coproduct coefficient of either frame is a
+root of unity times a Gaussian binomial, so both sides of the identity are a
+root times one q-multinomial at each key, and the roots are compared as
+integer exponents (the argument is in its docstring).  The counit and
+antipode checks sample their pairs of basis elements from a seeded
+generator, reproducibly run to run.
 """
 
 from __future__ import annotations
 
 import random
 
-from .algebra import Tensor, _add_term, apply_on_factor, conjugate
-from .cyclotomic import Cyclotomic, one as cy_one, zero as cy_zero
+from .algebra import Tensor, _add_term, _on_diag, apply_on_factor, conjugate
+from .cyclotomic import Cyclotomic, one as cy_one, signed_root_exponent, zero as cy_zero
 from .twist import Coordinates, QuasiHopf
 
 __all__ = [
@@ -54,42 +61,158 @@ def _low_degree_indices(S: QuasiHopf) -> list[int]:
     return [i for i in range(S.frame.descriptor.dim) if i % m <= 1]
 
 
-def check_quasi_coassoc(S: QuasiHopf, sample: int = 20, seed: int = 0) -> str | None:
-    """(id (x) Delta) Delta(u) = Phi (Delta (x) id) Delta(u) Phi^(-1).
+def _visit_order(S: QuasiHopf) -> list[int]:
+    """Every basis index: those of x-degree <= 1 first, then the rest in
+    index order."""
+    m = S.taft.m
+    low = _low_degree_indices(S)
+    return low + [i for i in range(S.frame.descriptor.dim) if i % m > 1]
 
-    Verified on every basis element of x-degree <= 1, whose span holds the
-    generators, plus a seeded sample; the low-degree elements come first, so
-    a defect on the generators is found before the sample is walked.  That
-    proves the identity on the elements visited only: agreement on the
-    generators would extend to all of A if the frame coproduct were an
-    algebra map, and nothing here checks that it is (the frame defines
-    Delta(1_s x^b) = Delta(1_s) Delta(x)^b without checking the relations of
-    A on Delta(1_s) and Delta(x)).
-    A diagonal associator conjugates in one pass.  The Hopf algebra's frame
-    declares no idempotent sub-basis; there an associator and inverse equal
-    to 1 (x) 1 (x) 1 leave the right side as it is, and any other pair
-    multiplies it on both sides.
+
+def _associator_exponents(phi: Tensor, M: int) -> dict | None:
+    """Phi's coefficients as exponents over zeta_M when Phi is supported on
+    every triple of the idempotent sub-basis and each coefficient is a root
+    of unity of order dividing M; None otherwise."""
+    if not _on_diag(phi) or len(phi.terms) != len(phi.algebra.diag_indices) ** 3:
+        return None
+    out = {}
+    for key, c in phi.terms.items():
+        e = signed_root_exponent(c, M)
+        if e is None:
+            return None
+        out[key] = e
+    return out
+
+
+def check_quasi_coassoc(S: QuasiHopf) -> str | None:
+    """(id (x) Delta) Delta(u) = Phi (Delta (x) id) Delta(u) Phi^(-1) on
+    every basis element u; both sides are linear in u, so this proves the
+    identity on all of the algebra.
+
+    The elements of x-degree <= 1, whose span holds the generators, come
+    first, then every other index in order.  Each element is compared by
+    root exponents when the premises below hold for it, and by scalars
+    otherwise; the first element that differs is recomputed by scalars, so
+    its witness names the first differing tensor and both coefficients.  A
+    difference of exponents that the scalars do not confirm is a
+    programming error and raises.
+
+    *Why exponents decide it.*  Let u have x-degree b < n^2.  Each term
+    (u1, u2) of Delta(u) whose first factor has x-degree k is read as
+    rho [b k]_q, with rho a root of unity zeta_(2m)^E (m = n^2) and
+    [b k]_q the Gaussian binomial (``TaftAlgebra.q_binomial``; the
+    q-binomial theorem puts every coefficient of the frame in this form):
+    rho is the coefficient times 1 / [b k]_q, read through the root table.
+    The x-degrees of the two factors must add to b.  A key (u1, u2, u3) of
+    x-degrees (d1, d2, d3) then has the coefficient
+    rho_L [b d1]_q [b-d1 d2]_q on the left and
+    rho_R [b d1+d2]_q [d1+d2 d1]_q on the right, rho_R including Phi and
+    Phi^(-1) at the key's ends when they are roots of unity.  Both products
+    of q-binomials equal the q-multinomial b!_q / (d1!_q d2!_q d3!_q), which
+    is nonzero because q has order n^2 > b.  So when each key of either
+    side receives exactly one term, the two sides are equal exactly when
+    their key sets agree and rho_L = rho_R, that is E_L = E_R mod 2m, on
+    every key.
+
+    *Premises*, checked exactly: every coproduct term that the element
+    touches factors as above, the associator is diagonal with root-of-unity
+    coefficients on every triple of idempotents (A's frame) or equal to
+    1 (x) 1 (x) 1 with its inverse (H's frame), and no key receives two
+    terms.  An element where one fails takes the scalar route: a diagonal
+    associator conjugates in one pass, the unit associator leaves the right
+    side as it is, and any other pair multiplies it on both sides.
+    Factored table entries are kept for the length of one call.
     """
     ops = S.frame
+    t = S.taft
+    m, M = t.m, 2 * t.m
+    coproduct = ops.coproduct
     phi, phi_inv = ops.associator, ops.associator_inv
     diagonal = ops.descriptor.diag_indices is not None
-    if not diagonal:
+    if diagonal:
+        phi_e, inv_e = _associator_exponents(phi, M), _associator_exponents(phi_inv, M)
+        exact = phi_e is not None and inv_e is not None
+        left, right = ops.descriptor._ends
+    else:
         unit3 = ops.descriptor.unit_tensor(3)
         trivial = phi == unit3 and phi_inv == unit3
-    low = _low_degree_indices(S)
-    sampled = deterministic_sample(ops.descriptor.dim, sample, seed, always=low)
-    low_set = set(low)
-    for idx in low + [i for i in sampled if i not in low_set]:
-        d = ops.coproduct(idx)
-        lhs = apply_on_factor(d, ops.coproduct, 2, 2)
-        core = apply_on_factor(d, ops.coproduct, 1, 2)
+        exact = trivial
+        phi_e = None
+
+    factored: dict = {}
+
+    def factor(idx: int) -> list | None:
+        # the terms of Delta(idx) as (u1, u2, E) with coefficient zeta_M^E [b k]_q
+        if idx in factored:
+            return factored[idx]
+        b = idx % m
+        out = []
+        for (u1, u2), c in coproduct(idx).terms.items():
+            k = u1 % m
+            if k + u2 % m != b:
+                out = None
+                break
+            if 0 < k < b:
+                c = c * t.q_binomial_inverse(b, k)
+            e = signed_root_exponent(c, M)
+            if e is None:
+                out = None
+                break
+            out.append((u1, u2, e))
+        factored[idx] = out
+        return out
+
+    def sides_agree(idx: int) -> bool | None:
+        # None when a premise fails for this element
+        terms = factor(idx)
+        if terms is None:
+            return None
+        firsts = [factor(u1) for u1, _, _ in terms]
+        seconds = [factor(u2) for _, u2, _ in terms]
+        if None in firsts or None in seconds:
+            return None
+        lhs = {
+            (u1, u2, u3): (e1 + e2) % M
+            for (u1, _, e1), inner in zip(terms, seconds)
+            for u2, u3, e2 in inner
+        }
+        if phi_e is None:
+            rhs = {
+                (u1, u2, u3): (e1 + e2) % M
+                for (_, u3, e1), inner in zip(terms, firsts)
+                for u1, u2, e2 in inner
+            }
+        else:
+            rhs = {
+                (u1, u2, u3): (
+                    e1 + e2 + phi_e[left[u1], left[u2], left[u3]]
+                    + inv_e[right[u1], right[u2], right[u3]]
+                ) % M
+                for (_, u3, e1), inner in zip(terms, firsts)
+                for u1, u2, e2 in inner
+            }
+        # a key that received two terms fails the premise
+        if len(lhs) != sum(map(len, seconds)) or len(rhs) != sum(map(len, firsts)):
+            return None
+        return lhs == rhs
+
+    for idx in _visit_order(S):
+        agree = sides_agree(idx) if exact else None
+        if agree:
+            continue
+        d = coproduct(idx)
+        lhs = apply_on_factor(d, coproduct, 2, 2)
+        core = apply_on_factor(d, coproduct, 1, 2)
         if diagonal:
             rhs = conjugate(phi, core, phi_inv)
         else:
             rhs = core if trivial else phi * core * phi_inv
         if lhs != rhs:
-            diff = lhs.first_difference(rhs)
-            return _witness(ops, f"u={ops.descriptor.label(idx)}", diff)
+            return _witness(ops, f"u={ops.descriptor.label(idx)}", lhs.first_difference(rhs))
+        if agree is not None:
+            raise RuntimeError(
+                f"root exponents differ at u={ops.descriptor.label(idx)}, scalars agree"
+            )
     return None
 
 

@@ -24,7 +24,8 @@ a common denominator each, convolved, reduced modulo Phi_m once per product
 and divided by the product of the denominators once per coefficient.
 Kernels over whole tables of unsigned entries skip the products altogether:
 ``root_exponents`` reads such a table as exponents over one root zeta_m,
-which they add mod m before looking up the entry.
+which they add mod m before looking up the entry, and
+``signed_root_exponent`` reads any +-root, tagged or not, as one exponent.
 
 Mixed conductors are handled by embedding into the field of conductor
 lcm(m1, m2) before operating.  Division multiplies by the inverse: a rational
@@ -49,6 +50,7 @@ __all__ = [
     "rational",
     "root_exponents",
     "root_of_unity",
+    "signed_root_exponent",
     "zero",
 ]
 
@@ -727,3 +729,41 @@ def root_exponents(values, m: int) -> list | None:
             k *= m // c
         append(k)
     return out
+
+
+def signed_root_exponent(x: Cyclotomic, m: int) -> int | None:
+    """The exponent E in [0, m) with x = zeta_m^E, or None when x is no
+    root of unity of order dividing m.
+
+    A root-table entry +-zeta_c^k is read from its tag, for c dividing m, and
+    its sign as the shift by m/2.  Any other element is looked up in the root
+    table of its own conductor c (``_root_table``), which names the root up to
+    a rational factor; the factor is read off the lowest-exponent coefficient
+    and must be 1 or -1.  A -1 needs an even m.
+    """
+    c = x.conductor
+    if m % c:
+        return None
+    k = x._k
+    if k is not None:
+        neg = x._neg
+    else:
+        if not x._c:
+            return None
+        low = x._c[min(x._c)]
+        hit = _root_table(c).get(_scaled_key(x._c, low))
+        if hit is None:
+            return None
+        k, root_low = hit
+        if low == root_low:
+            neg = False
+        elif low == -root_low:
+            neg = True
+        else:
+            return None
+    e = k * (m // c)
+    if neg:
+        if m % 2:
+            return None
+        e += m // 2
+    return e % m

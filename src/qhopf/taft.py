@@ -20,6 +20,7 @@ Q = q^n; the monomial basis of A is the reporting surface.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .algebra import AlgebraDescriptor, Tensor
@@ -68,6 +69,45 @@ class TaftAlgebra:
 
     def Q_power(self, k: int) -> Cyclotomic:
         return self._q_pows[(self.n * k) % self.m]
+
+    @cached_property
+    def _q_binomials(self) -> dict:
+        # (b, min(k, b - k)) -> [b k]_q, filled on request
+        return {}
+
+    @cached_property
+    def _q_binomial_inverses(self) -> dict:
+        return {}
+
+    def q_binomial(self, b: int, k: int) -> Cyclotomic:
+        """The Gaussian binomial [b k]_q for 0 <= k <= b, exactly.
+
+        Built on request by the q-Pascal rule
+        [b k]_q = [b-1 k-1]_q + q^k [b-1 k]_q (Kassel, *Quantum Groups*,
+        IV.2) and kept, with [b k]_q = [b b-k]_q; nothing is tabled ahead.
+        """
+        if not 0 <= k <= b:
+            raise ValueError(f"need 0 <= k <= b, got b={b}, k={k}")
+        k = min(k, b - k)
+        if not k:
+            return cy_one()
+        memo = self._q_binomials
+        hit = memo.get((b, k))
+        if hit is None:
+            hit = memo[(b, k)] = (
+                self.q_binomial(b - 1, k - 1) + self._q_pows[k % self.m] * self.q_binomial(b - 1, k)
+            )
+        return hit
+
+    def q_binomial_inverse(self, b: int, k: int) -> Cyclotomic:
+        """1 / [b k]_q, built on request and kept.  [b k]_q is nonzero for
+        b < n^2, the order of q."""
+        k = min(k, b - k)
+        memo = self._q_binomial_inverses
+        hit = memo.get((b, k))
+        if hit is None:
+            hit = memo[(b, k)] = self.q_binomial(b, k).inverse()
+        return hit
 
     # -- descriptors ----------------------------------------------------------
 

@@ -9,8 +9,9 @@ antipode of H and the root scatter that reduces every shifted exponent,
 kept as differential oracles.
 
 ``qhopf.axioms.check_antipode`` accumulates its sums into coefficient dicts,
-``qhopf.axioms.check_quasi_coassoc`` leaves the right side alone under the
-unit associator of H, ``qhopf.cocycle.check_cocycle`` and
+``qhopf.axioms.check_quasi_coassoc`` compares root exponents over
+q-binomials on every element and leaves the right side alone under the unit
+associator of H, ``qhopf.cocycle.check_cocycle`` and
 ``qhopf.cocycle.random_coboundary`` hold cochains as exponents over
 zeta_(n^2) and apply the bar coboundary to them,
 ``qhopf.linalg.mat_mul`` visits only nonzero entries,
@@ -24,7 +25,8 @@ Delta(1_s x^b) = Delta(1_s x^(b-1)) Delta(x), one product per entry,
 ``TaftAlgebra.antipode`` sum into one coefficient dict, and
 ``qhopf.cyclotomic._root_times`` reads rows tabled per shift and builds its
 result with one comprehension.  Before that they summed whole Tensors term by
-term, multiplied by 1 (x) 1 (x) 1 on both sides, looked every value up
+term, multiplied scalar coefficients on a seeded sample and by
+1 (x) 1 (x) 1 on both sides, looked every value up
 through ``ThreeCochain.__call__`` and multiplied scalars, multiplied and
 inverted scalars, ran the full
 triple loop, multiplied five materialised tensors, multiplied by every image

@@ -1,11 +1,12 @@
 """Axiom suite on genuine structures, and negative controls on corrupted ones."""
 
-import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+import qhopf.axioms
 from qhopf.axioms import (
     _low_degree_indices,
     check_antipode,
@@ -15,7 +16,6 @@ from qhopf.axioms import (
     check_pentagon,
     check_quasi_coassoc,
     check_radical_ideal,
-    deterministic_sample,
 )
 from qhopf.corruptions import corrupted_alpha, corrupted_associator, corrupted_coproduct
 from qhopf.twist import build_quasi_hopf, taft_hopf
@@ -84,32 +84,59 @@ def _structure(n):
     return build_quasi_hopf(n)
 
 
-def _visited(S):
-    """S with a coproduct that records the indices check_quasi_coassoc asks
-    for itself (not those its slot maps ask for), and that record."""
+def _requests(S):
+    """S with a coproduct that records every index it is asked for, and that
+    record."""
     seen = []
     base = S.frame.coproduct
 
     def coproduct(idx):
-        if sys._getframe(1).f_code is check_quasi_coassoc.__code__:
-            seen.append(idx)
+        seen.append(idx)
         return base(idx)
 
     return replace(S, frame=replace(S.frame, coproduct=coproduct)), seen
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_quasi_coassoc_visits_the_low_degree_elements_first(n):
-    S, seen = _visited(_structure(n))
-    assert check_quasi_coassoc(S, seed=4) is None
+def test_quasi_coassoc_asks_for_every_entry_once_low_degree_first(n):
+    S, seen = _requests(_structure(n))
+    assert check_quasi_coassoc(S) is None
     low = _low_degree_indices(S)
-    sample = deterministic_sample(S.dim, 20, 4, always=low)
-    assert sorted(seen) == sample
-    assert seen == low + sorted(set(sample) - set(low))
+    assert sorted(seen) == list(range(S.dim))
+    assert sorted(seen[: len(low)]) == low
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quasi_coassoc_visits_the_low_degree_elements_first(n, monkeypatch):
+    # Phi scaled by 2 and Phi^(-1) by 1/2 is no root of unity, so every
+    # element takes the scalar route, whose first slot map names the element
+    S = _structure(n)
+    frame = S.frame
+    halved = replace(
+        S,
+        frame=replace(
+            frame,
+            associator=frame.associator.scale(2),
+            associator_inv=frame.associator_inv.scale(Fraction(1, 2)),
+        ),
+    )
+    table = {id(frame.coproduct(idx)): idx for idx in range(S.dim)}
+    visited = []
+    original = qhopf.axioms.apply_on_factor
+
+    def recorder(u, fmap, position, out_rank):
+        if position == 2:
+            visited.append(table[id(u)])
+        return original(u, fmap, position, out_rank)
+
+    monkeypatch.setattr(qhopf.axioms, "apply_on_factor", recorder)
+    assert check_quasi_coassoc(halved) is None
+    low = _low_degree_indices(S)
+    assert visited == low + [i for i in range(S.dim) if i not in low]
 
 
 def test_corrupted_associator_fails_on_the_low_degree_elements():
-    S, seen = _visited(corrupted_associator(_structure(5)))
+    S, seen = _requests(corrupted_associator(_structure(5)))
     witness = check_quasi_coassoc(S)
     assert witness.startswith("u=1_3 x: ")
     assert seen and set(seen) <= set(_low_degree_indices(S))

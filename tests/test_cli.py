@@ -323,16 +323,16 @@ def test_names_imported_from_cli_resolve():
     assert qhopf.cli.ALL_CHECK_NAMES is qhopf.checks.ALL_CHECK_NAMES
 
 
-def _report_gate():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "report_gate.py"
-    spec = importlib.util.spec_from_file_location("report_gate", path)
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_report_gate_against_names_the_first_difference(tmp_path, monkeypatch, capsys):
-    gate = _report_gate()
+    gate = _script("report_gate")
     contents = {"b.txt": "two\n", "a.json": "{}\n"}
 
     def write_set(outdir):
@@ -354,3 +354,22 @@ def test_report_gate_against_names_the_first_difference(tmp_path, monkeypatch, c
     assert gate.first_difference(out, ref) == "b.txt: differs"
     (out / "b.txt").write_text("two\n")
     assert gate.first_difference(out, ref) == f"extra.txt: only in {ref}"
+
+
+def test_compare_checks_runs_a_checkout_against_itself(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "compare.json"
+    checks = "taft_coassociativity,quasi_coassociativity"
+    args = [str(root), str(root), "--n=2", "--q-exp=1", f"--checks={checks}", "--pairs=1"]
+    assert _script("compare_checks").main([*args, f"--out={out}"]) == 0
+    result = json.loads(out.read_text())
+    assert result["verdicts_equal"] is True and result["failed_runs"] == []
+    assert "unscaled" in result["note"]
+    assert result["config"]["pairs"] == 1
+    for side, first in (("parent", True), ("change", False)):
+        entry = result["sides"][side]
+        assert set(entry["checks_ms"]) == set(checks.split(","))
+        [run] = entry["runs"]
+        assert run["first"] is first and run["exit_code"] == 0
+        spread = entry["checks_ms"]["quasi_coassociativity"]
+        assert spread["q1"] == spread["median"] == spread["q3"] >= 0

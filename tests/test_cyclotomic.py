@@ -16,6 +16,7 @@ from qhopf.cyclotomic import (
     one,
     rational,
     root_of_unity,
+    signed_root_exponent,
     zero,
 )
 from qhopf.algebra import _scalar
@@ -380,6 +381,31 @@ def test_signed_entries_match_untagged_copies(m):
             _same_entry(a * b, ua * ub)
             assert (a == b) == (ua == ub) == (a._c == b._c)
             assert (a == ub) == (ua == b) == (a == b)
+
+
+@pytest.mark.parametrize("m", INVERSE_CONDUCTORS)
+def test_signed_root_exponent_reads_every_root_tagged_or_not(m):
+    M = 2 * m
+    seen = set()
+    for a in _signed_entries(m):
+        e = signed_root_exponent(a, M)
+        assert e is not None and 0 <= e < M and root_of_unity(M, e) == a
+        assert signed_root_exponent(_untagged(a), M) == e
+        seen.add(e)
+        for other in (a * 2, a * Fraction(1, 2), a * -3, _untagged(a) * Fraction(-1, 2)):
+            assert signed_root_exponent(other, M) is None
+    # Q(zeta_m) holds the roots of order dividing lcm(2, m)
+    assert len(seen) == lcm(2, m)
+    assert signed_root_exponent(zero(m), M) is None
+    assert signed_root_exponent(rational(-1), M) == m
+    if m > 2:
+        assert signed_root_exponent(one(m) * 2 + root_of_unity(m, 1), M) is None
+        # a conductor that does not divide M, and -1 over an odd M
+        assert signed_root_exponent(root_of_unity(m, 1), M + 1) is None
+    if m % 2:
+        assert signed_root_exponent(-root_of_unity(m, 1), m) is None
+        assert signed_root_exponent(_untagged(-root_of_unity(m, 1)), m) is None
+        assert signed_root_exponent(root_of_unity(m, 1), m) == 1 % m
 
 
 @pytest.mark.parametrize(

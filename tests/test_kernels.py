@@ -1,6 +1,8 @@
 """The arithmetic-only kernels against their oracles in ``kernel_oracles``:
 ``check_antipode`` on every structure at n = 2..4 and on corrupted frames,
-``check_quasi_coassoc`` on the Hopf algebra, unit associator or not,
+``check_quasi_coassoc`` on A and H for every structure at n = 2..4 and at
+n = 5, e = 1, on corrupted frames (unit associator or not) and on every
+single-entry mutant of the frame table at n = 3, e = 1,
 ``check_cocycle`` on random cochains of n^2-th roots of unity and on every
 single-value corruption of the l-family at n <= 4, ``random_coboundary``,
 both read through the values zeta^e of their exponents, ``mat_mul`` on
@@ -27,12 +29,13 @@ from itertools import product
 import pytest
 
 import kernel_oracles as oracle
+import qhopf.axioms
 from qhopf.algebra import SingularElementError, Tensor, apply_on_factor, conjugate, invert
 from qhopf.axioms import check_antipode, check_counit, check_quasi_coassoc
 from qhopf.checks import BuildContext, _chk_associator_identity
 from qhopf.cli import coprime_exponents
 from qhopf.cocycle import ThreeCochain, check_cocycle, cyclic_cochain, random_coboundary
-from qhopf.corruptions import corrupted_alpha, corrupted_coproduct
+from qhopf.corruptions import corrupted_alpha, corrupted_associator, corrupted_coproduct
 from qhopf.cyclotomic import (
     Cyclotomic,
     _over,
@@ -556,18 +559,64 @@ def _scaled_coproduct(S, idx, factor):
     return replace(S, frame=replace(S.frame, coproduct=coproduct))
 
 
+def _mutant(S, idx, key, factor):
+    """S with the coefficient at ``key`` of the coproduct of one basis element
+    scaled by ``factor``, or that key set to ``factor`` times another term's
+    coefficient when ``key`` is a pair (new key, existing key)."""
+    base = S.frame.coproduct
+
+    def coproduct(k):
+        out = base(k)
+        if k != idx:
+            return out
+        terms = dict(out.terms)
+        if isinstance(key[0], tuple):
+            new, old = key
+            terms[new] = terms[old] * factor
+        else:
+            terms[key] = terms[key] * factor
+        return Tensor(out.algebra, 2, terms)
+
+    return replace(S, frame=replace(S.frame, coproduct=coproduct))
+
+
+def _scalar_route(monkeypatch):
+    """The elements that check_quasi_coassoc sends down the scalar route,
+    as the list of their coproducts."""
+    visited = []
+
+    def recorder(u, fmap, position, out_rank):
+        if position == 2:
+            visited.append(u)
+        return apply_on_factor(u, fmap, position, out_rank)
+
+    monkeypatch.setattr(qhopf.axioms, "apply_on_factor", recorder)
+    return visited
+
+
+@pytest.mark.parametrize("n,e", STRUCTURES + [(5, 1)])
+def test_quasi_coassoc_matches_the_scalar_oracle_on_every_element(n, e, monkeypatch):
+    ctx = _context(n, e)
+    scalar = _scalar_route(monkeypatch)
+    for S in (ctx.struct, ctx.hopf):
+        assert check_quasi_coassoc(S) is None
+        # every element of A and of H factors: nothing takes the scalar route
+        assert scalar == []
+        assert oracle.check_quasi_coassoc(S, sample=S.dim) is None
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_quasi_coassoc_on_h_matches_the_product_route(n, monkeypatch):
+def test_quasi_coassoc_on_corrupted_frames_matches_the_scalar_oracle(n, monkeypatch):
     for e in coprime_exponents(n):
-        H = taft_hopf(n, e)
+        ctx = _context(n, e)
+        A, H = ctx.struct, ctx.hopf
         t, frame = H.taft, H.frame
         unit3 = t.H.unit_tensor(3)
         q = t.q_power(1)
         cases = [
-            H,
             _scaled_coproduct(H, 1, 2),  # Delta(x) doubled
             _scaled_coproduct(H, t.m + 1, q),  # Delta(g x) scaled by q
-            # a central associator: the product route still runs, and passes
+            # a central associator: the product route runs, and passes
             replace(
                 H,
                 frame=replace(
@@ -576,12 +625,16 @@ def test_quasi_coassoc_on_h_matches_the_product_route(n, monkeypatch):
             ),
             # an associator whose inverse is wrong fails there
             replace(H, frame=replace(frame, associator=unit3.scale(2))),
+            _scaled_coproduct(A, 1, 2),  # Delta(1_0 x) doubled
+            _scaled_coproduct(A, t.m + 1, q),  # Delta(1_1 x) scaled by q
+            corrupted_associator(A),
+            corrupted_coproduct(A),
         ]
-        witnesses = [check_quasi_coassoc(S, sample=8, seed=e) for S in cases]
-        assert witnesses == [oracle.check_quasi_coassoc(S, sample=8, seed=e) for S in cases]
-        assert witnesses[0] is None and witnesses[3] is None
-        assert all(w and w.startswith("u=") for w in witnesses[1:3] + witnesses[4:])
-        assert witnesses[4].endswith(" vs 2")
+        witnesses = [check_quasi_coassoc(S) for S in cases]
+        assert witnesses == [oracle.check_quasi_coassoc(S, sample=S.dim) for S in cases]
+        assert witnesses[2] is None
+        assert all(w and w.startswith("u=") for w in witnesses[:2] + witnesses[3:])
+        assert witnesses[3].endswith(" vs 2")
     # the unit associator makes no product with it; any other one does
     products = []
     original = Tensor.__mul__
@@ -592,11 +645,75 @@ def test_quasi_coassoc_on_h_matches_the_product_route(n, monkeypatch):
 
     monkeypatch.setattr(Tensor, "__mul__", counted)
     H = taft_hopf(n)
-    check_quasi_coassoc(H, sample=4)
+    check_quasi_coassoc(H)
     assert 3 not in products
     unit3 = H.taft.H.unit_tensor(3)
-    check_quasi_coassoc(replace(H, frame=replace(H.frame, associator=unit3.scale(2))), sample=4)
+    check_quasi_coassoc(replace(H, frame=replace(H.frame, associator=unit3.scale(2))))
     assert 3 in products
+
+
+def test_quasi_coassoc_catches_every_single_entry_mutant():
+    # every term of the frame table at n = 3, e = 1, scaled by q or by -1
+    S = _context(3, 1).struct
+    t = S.taft
+    factors = (t.q, -cy_one())
+    witnesses = {}
+    for idx in range(S.dim):
+        for key in S.frame.coproduct(idx).terms:
+            for f in factors:
+                witness = check_quasi_coassoc(_mutant(S, idx, key, f))
+                assert witness is not None and witness.startswith("u="), (idx, key, f)
+                witnesses.setdefault(idx, (key, f, witness))
+    assert len(witnesses) == S.dim
+    # the first mutant of each entry reads as the scalar oracle reads it
+    for idx, (key, f, witness) in witnesses.items():
+        assert witness == oracle.check_quasi_coassoc(_mutant(S, idx, key, f), sample=S.dim)
+
+
+def test_quasi_coassoc_takes_the_scalar_route_where_a_premise_fails(monkeypatch):
+    S = _context(3, 1).struct
+    m = S.taft.m
+    d = S.frame.descriptor
+    scalar = _scalar_route(monkeypatch)
+    # a coefficient 2 [1 0]_q is no root times a q-binomial
+    doubled = _scaled_coproduct(S, 1, 2)
+    witness = check_quasi_coassoc(doubled)
+    assert witness == oracle.check_quasi_coassoc(doubled, sample=S.dim)
+    assert witness.startswith("u=1_0 x: ") and witness.endswith(" vs 2")
+    assert scalar == [doubled.frame.coproduct(1)]
+    # Delta(1_0 x) gains (u1, 1_t x) beside its (u1, 1_s x), and Delta(1_t x)
+    # is made equal to Delta(1_s x): both terms land on the keys (u1, Delta(1_s x))
+    (u1, v1), c = next(
+        (key, c) for key, c in S.frame.coproduct(1).terms.items() if key[1] % m == 1
+    )
+    v2 = (v1 + m) % S.dim
+    doubled_key = _mutant(S, 1, ((u1, v2), (u1, v1)), cy_one())
+    base = doubled_key.frame.coproduct
+    collided = replace(
+        doubled_key,
+        frame=replace(
+            doubled_key.frame, coproduct=lambda k: S.frame.coproduct(v1) if k == v2 else base(k)
+        ),
+    )
+    del scalar[:]
+    witness = check_quasi_coassoc(collided)
+    assert witness == oracle.check_quasi_coassoc(collided, sample=S.dim)
+    assert witness.startswith(f"u={d.label(1)}: ")
+    assert [u.terms for u in scalar] == [collided.frame.coproduct(1).terms]
+
+
+def test_quasi_coassoc_finds_a_defect_outside_the_old_sample():
+    # no element of the seeded sample of H at n = 4 applies Delta(x^15), so
+    # a defect there passed the sampled check; every element is visited now
+    H = _context(4, 1).hopf
+    top = 15
+    bad = _mutant(H, top, (top, 15 * 16), H.taft.q)
+    assert oracle.check_quasi_coassoc(bad, sample=20) is None
+    assert oracle.check_quasi_coassoc(bad, sample=100) is None
+    assert check_quasi_coassoc(bad) == (
+        "u=x^15: first difference at (x # g x^14 # g^15): -z vs -z^2"
+    )
+    assert check_quasi_coassoc(bad) == oracle.check_quasi_coassoc(bad, sample=H.dim)
 
 
 def test_over_matches_the_division_loop():

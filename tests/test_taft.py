@@ -263,3 +263,32 @@ def test_bold_coordinates_roundtrip_and_products(t3):
     u = t3.sub_monomial(1, 2) + t3.sub_monomial(2, 0, t3.Q)
     v = t3.sub_monomial(2, 1)
     assert t3.sub_from_bold(t3.sub_to_bold(u) * t3.sub_to_bold(v)) == u * v
+
+
+@pytest.mark.parametrize("n,e", [(2, 1), (2, 3), (3, 2), (4, 3)])
+def test_q_binomials_are_the_coefficients_of_the_powers_of_delta_x(n, e):
+    # Delta(x) = x (x) g + 1 (x) x with (x (x) g)(1 (x) x) = q (1 (x) x)(x (x) g),
+    # so the q-binomial theorem gives
+    # Delta(x^b) = sum_k [b k]_q x^(b-k) (x) x^k g^(b-k), and
+    # x^k g^(b-k) = q^(-k(b-k)) g^(b-k) x^k on the monomial basis
+    t = TaftAlgebra(n, e)
+    m = t.m
+    assert "_q_binomials" not in vars(t)
+    for b in range(m):
+        delta = t.delta_basis(b)
+        assert len(delta.terms) == b + 1
+        for k in range(b + 1):
+            coeff = delta.terms[(b - k, (b - k) * m + k)]
+            assert coeff == t.q_binomial(b, k) * t.q_power(-k * (b - k))
+            assert t.q_binomial(b, k) == t.q_binomial(b, b - k)
+            assert (t.q_binomial(b, k) * t.q_binomial_inverse(b, k)).is_one()
+    with pytest.raises(ValueError):
+        t.q_binomial(2, 3)
+
+
+def test_q_binomials_are_built_on_request():
+    t = TaftAlgebra(3)
+    assert t.q_binomial(4, 0).is_one() and t.q_binomial(4, 4).is_one()
+    assert "_q_binomials" not in vars(t)
+    t.q_binomial(3, 1)
+    assert set(t._q_binomials) == {(2, 1), (3, 1)}
