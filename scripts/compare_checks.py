@@ -37,15 +37,18 @@ def _spread(values: list[float]) -> dict:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
+def _untimed(checks: list[dict]) -> list[dict]:
+    return [{k: v for k, v in c.items() if k != "elapsed_ms"} for c in checks]
+
+
 def _without_times(report: dict) -> dict:
     """The report with every time removed: its verdicts and witnesses."""
-    strip = lambda checks: [{k: v for k, v in c.items() if k != "elapsed_ms"} for c in checks]
     return {
         "structures": [
-            {**{k: v for k, v in s.items() if k != "build_ms"}, "checks": strip(s["checks"])}
+            {**{k: v for k, v in s.items() if k != "build_ms"}, "checks": _untimed(s["checks"])}
             for s in report["structures"]
         ],
-        "family_checks": strip(report["family_checks"]),
+        "family_checks": _untimed(report["family_checks"]),
         "summary": report["summary"],
     }
 

@@ -98,7 +98,9 @@ def _requests(S):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_quasi_coassoc_asks_for_every_entry_once_low_degree_first(n):
+def test_quasi_coassoc_visits_the_low_degree_elements_first(n):
+    # each table entry is asked for once per call: those of the low-degree
+    # elements first, whose factors are low-degree too, then all others
     S, seen = _requests(_structure(n))
     assert check_quasi_coassoc(S) is None
     low = _low_degree_indices(S)
@@ -107,7 +109,7 @@ def test_quasi_coassoc_asks_for_every_entry_once_low_degree_first(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_quasi_coassoc_visits_the_low_degree_elements_first(n, monkeypatch):
+def test_quasi_coassoc_scalar_route_visits_every_element_in_order(n, monkeypatch):
     # Phi scaled by 2 and Phi^(-1) by 1/2 is no root of unity, so every
     # element takes the scalar route, whose first slot map names the element
     S = _structure(n)
